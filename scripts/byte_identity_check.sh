@@ -10,9 +10,11 @@
 #   sha256sum suite_stdout.txt ci_smoke_csv/*.csv
 #
 # Extra arguments are passed through to bench_suite as knobs. The gate is
-# therefore also the proof that execution-strategy knobs (vault_parallel=,
-# bound=, pool=) change nothing observable:
-#   byte_identity_check.sh bench_suite vault_parallel=on bound=256
+# therefore also the proof that configurations documented as equivalent to
+# the default path change nothing observable — the FCFS vault queue and the
+# hybrid backend with no fast tier:
+#   byte_identity_check.sh bench_suite sched=fcfs vault_queue=8
+#   byte_identity_check.sh bench_suite mem=hybrid scheme=cache
 # must hash to the same baseline as the plain run.
 #
 # Usage: byte_identity_check.sh <path-to-bench_suite> [knob=value ...]

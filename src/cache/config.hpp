@@ -38,10 +38,6 @@ struct HierarchyConfig {
                   .hit_latency = 30};
   /// LLC MSHR file size (paper: "16 MSHRs in LLC").
   std::uint32_t llc_mshrs = 16;
-  /// Recycle the per-access write-back vectors through an arena free list
-  /// (the coalescer PacketPool idiom). Set by the `pool=` knob together
-  /// with the coalescer pools; never changes an output byte.
-  bool enable_pool = false;
 };
 
 }  // namespace hmcc::cache

@@ -23,14 +23,9 @@ HierarchyAccessResult Hierarchy::access(std::uint32_t core, Addr addr,
   Cache& l2 = *l2_[core];
 
   HierarchyAccessResult r{};
-  if (cfg_.enable_pool) {
-    if (!wb_pool_.empty()) {
-      r.memory_writebacks = std::move(wb_pool_.back());
-      wb_pool_.pop_back();
-      ++pool_reused_;
-    } else {
-      ++pool_fresh_;
-    }
+  if (!wb_free_.empty()) {
+    r.memory_writebacks = std::move(wb_free_.back());
+    wb_free_.pop_back();
   }
   r.line_addr = llc_->line_addr(addr);
   r.latency = cfg_.l1.hit_latency;
@@ -105,19 +100,16 @@ bool Hierarchy::llc_contains(Addr line_addr) const {
 }
 
 void Hierarchy::recycle(std::vector<Addr>&& writebacks) {
-  if (!cfg_.enable_pool || writebacks.capacity() == 0) return;
+  if (writebacks.capacity() == 0) return;
   writebacks.clear();
-  wb_pool_.push_back(std::move(writebacks));
+  wb_free_.push_back(std::move(writebacks));
 }
 
 void Hierarchy::reset() {
   for (auto& c : l1_) c->reset();
   for (auto& c : l2_) c->reset();
   llc_->reset();
-  wb_pool_.clear();
-  wb_pool_.shrink_to_fit();
-  pool_fresh_ = 0;
-  pool_reused_ = 0;
+  wb_free_.clear();
 }
 
 desc::StatSet Hierarchy::stat_descriptors() const {

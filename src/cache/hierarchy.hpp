@@ -67,19 +67,11 @@ class Hierarchy {
   }
   [[nodiscard]] const Cache& llc() const noexcept { return *llc_; }
 
-  /// Return an access result's write-back vector to the arena free list
-  /// (cfg.enable_pool only; otherwise a no-op and the vector just frees).
-  /// Capacity-less vectors are dropped — recycling them would grow the
-  /// free list without saving an allocation.
+  /// Hand an access result's write-back vector back so the next access()
+  /// reuses its capacity. Capacity-less vectors are dropped — keeping them
+  /// would save no allocation. One vector goes out per access() and at most
+  /// one comes back per recycle(), so the free list stays tiny.
   void recycle(std::vector<Addr>&& writebacks);
-
-  /// Arena accounting (tests): vectors served fresh vs from the free list.
-  [[nodiscard]] std::uint64_t pool_fresh() const noexcept {
-    return pool_fresh_;
-  }
-  [[nodiscard]] std::uint64_t pool_reused() const noexcept {
-    return pool_reused_;
-  }
 
   void reset();
 
@@ -94,10 +86,8 @@ class Hierarchy {
   std::vector<std::unique_ptr<Cache>> l1_;
   std::vector<std::unique_ptr<Cache>> l2_;
   std::unique_ptr<Cache> llc_;
-  /// Free list of capacity-retaining write-back vectors (enable_pool).
-  std::vector<std::vector<Addr>> wb_pool_;
-  std::uint64_t pool_fresh_ = 0;
-  std::uint64_t pool_reused_ = 0;
+  /// Free list of capacity-retaining write-back vectors.
+  std::vector<std::vector<Addr>> wb_free_;
 };
 
 }  // namespace hmcc::cache

@@ -24,7 +24,6 @@ MemoryCoalescer::MemoryCoalescer(Kernel& kernel, CoalescerConfig cfg,
          "granularity is a standalone DmcUnit accounting mode");
   assert(issue_ && complete_);
   window_.reserve(cfg_.window);
-  if (cfg_.enable_pool) dmc_.set_pool(&pool_);
 }
 
 bool MemoryCoalescer::bypass_active() const noexcept {
@@ -47,15 +46,12 @@ void MemoryCoalescer::submit(CoalescerRequest req) {
     // Conventional MSHR path: no window, no sorting — each miss is a
     // line-sized packet offered to the (dynamic) MSHR file directly.
     CoalescedPacket pkt{};
-    if (cfg_.enable_pool) pkt.constituents = pool_.acquire_requests();
     pkt.addr = req.addr;
     pkt.bytes = cfg_.line_bytes;
     pkt.type = req.type;
     pkt.ready_at = kernel_.now();
     pkt.constituents.push_back(std::move(req));
-    std::vector<CoalescedPacket> one =
-        cfg_.enable_pool ? pool_.acquire_packets()
-                         : std::vector<CoalescedPacket>{};
+    std::vector<CoalescedPacket> one;
     one.push_back(std::move(pkt));
     enqueue_packets(std::move(one));
     return;
@@ -66,15 +62,12 @@ void MemoryCoalescer::submit(CoalescerRequest req) {
     // skip the sorting pipeline entirely.
     ++stats_.bypassed;
     CoalescedPacket pkt{};
-    if (cfg_.enable_pool) pkt.constituents = pool_.acquire_requests();
     pkt.addr = req.addr;
     pkt.bytes = cfg_.line_bytes;
     pkt.type = req.type;
     pkt.ready_at = kernel_.now();
     pkt.constituents.push_back(std::move(req));
-    std::vector<CoalescedPacket> one =
-        cfg_.enable_pool ? pool_.acquire_packets()
-                         : std::vector<CoalescedPacket>{};
+    std::vector<CoalescedPacket> one;
     one.push_back(std::move(pkt));
     enqueue_packets(std::move(one));
     return;
@@ -109,21 +102,13 @@ void MemoryCoalescer::flush_window() {
   ++stats_.batches;
 
   std::vector<CoalescerRequest> batch = std::move(window_);
-  if (cfg_.enable_pool) {
-    window_ = pool_.acquire_requests();
-  } else {
-    window_.clear();
-  }
+  window_.clear();
   window_.reserve(cfg_.window);
 
   // Build the padded key window (§3.4: invalid keys sort to the tail) and
   // run it through the pipelined network for timing; functionally the batch
-  // is ordered by the same 54-bit keys. Pooled runs reuse one SoA scratch
-  // buffer instead of allocating the window per batch.
-  std::vector<std::uint64_t> local_keys;
-  std::vector<std::uint64_t>& keys =
-      cfg_.enable_pool ? pool_.keys_scratch() : local_keys;
-  keys.assign(cfg_.window, kInvalidKey);
+  // is ordered by the same 54-bit keys.
+  std::vector<std::uint64_t> keys(cfg_.window, kInvalidKey);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     keys[i] = batch[i].sort_key();
   }
@@ -137,7 +122,6 @@ void MemoryCoalescer::flush_window() {
   kernel_.schedule_at(sorted_at, [this, batch = std::move(batch)]() mutable {
     const Cycle start = kernel_.now();
     DmcResult res = dmc_.coalesce(batch, start);
-    if (cfg_.enable_pool) pool_.recycle_requests(std::move(batch));
     const Cycle busy = res.finished_at - start;
     stats_.dmc_latency.add(static_cast<double>(busy));
     if (trace_ != nullptr) {
@@ -178,7 +162,6 @@ void MemoryCoalescer::enqueue_packets(std::vector<CoalescedPacket> packets,
       crq_.push(std::move(pkt));
     }
   }
-  if (cfg_.enable_pool) pool_.recycle_packets(std::move(packets));
   drain_crq();
 }
 
@@ -196,9 +179,6 @@ void MemoryCoalescer::drain_crq() {
     DynamicMshrFile::InsertResult res = mshrs_.try_insert(crq_.front());
     if (res.accepted) {
       note_issued_or_merged(crq_.front(), kernel_.now());
-      if (cfg_.enable_pool) {
-        pool_.recycle_requests(std::move(crq_.front().constituents));
-      }
       crq_.pop();
       refill();
       for (CoalescedPacket& pkt : res.to_issue) {
@@ -212,9 +192,6 @@ void MemoryCoalescer::drain_crq() {
       if (mshrs_.try_merge_only(crq_.at(i))) {
         ++stats_.crq_merges;
         note_issued_or_merged(crq_.at(i), kernel_.now());
-        if (cfg_.enable_pool) {
-          pool_.recycle_requests(std::move(crq_.at(i).constituents));
-        }
         crq_.erase_at(i);
       } else {
         ++i;
@@ -240,7 +217,6 @@ void MemoryCoalescer::issue_packet(CoalescedPacket pkt) {
     ++stats_.size_256;
   }
   issue_(pkt);
-  if (cfg_.enable_pool) pool_.recycle_requests(std::move(pkt.constituents));
 }
 
 void MemoryCoalescer::note_issued_or_merged(const CoalescedPacket& pkt,

@@ -30,7 +30,6 @@
 #include "coalescer/dmc_unit.hpp"
 #include "coalescer/dynamic_mshr.hpp"
 #include "coalescer/pipeline.hpp"
-#include "coalescer/pool.hpp"
 #include "coalescer/request.hpp"
 #include "common/descriptor.hpp"
 #include "common/ring_buffer.hpp"
@@ -116,9 +115,6 @@ class MemoryCoalescer {
   [[nodiscard]] const DynamicMshrFile& mshrs() const noexcept {
     return mshrs_;
   }
-  /// The buffer arena behind the enable_pool knob (inert when the knob is
-  /// off); exposed so tests can assert reuse.
-  [[nodiscard]] const PacketPool& pool() const noexcept { return pool_; }
   /// Requests anywhere inside the coalescer (not yet issued or merged).
   [[nodiscard]] std::uint64_t in_flight_inputs() const noexcept {
     return in_flight_inputs_;
@@ -147,7 +143,6 @@ class MemoryCoalescer {
   PipelinedSorter sorter_;
   DmcUnit dmc_;
   DynamicMshrFile mshrs_;
-  PacketPool pool_;  ///< used only when cfg_.enable_pool
 
   std::vector<CoalescerRequest> window_;
   std::uint64_t timeout_gen_ = 0;   ///< invalidates stale timeout events

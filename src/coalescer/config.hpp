@@ -56,12 +56,6 @@ struct CoalescerConfig {
   Granularity granularity = Granularity::kLine;
   PipelineShape pipeline_shape = PipelineShape::kPerStage;
 
-  /// Recycle packet / constituent / scratch buffers through a free-list
-  /// arena (coalescer/pool.hpp) instead of allocating per request and per
-  /// batch. A pure execution-strategy knob: results are byte-identical with
-  /// it on or off; only the serial-path throughput changes.
-  bool enable_pool = false;
-
   [[nodiscard]] std::uint32_t max_lines_per_packet() const noexcept {
     return max_packet_bytes / line_bytes;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "coalescer/pool.hpp"
 #include "common/bits.hpp"
 #include "hmc/packet.hpp"
 
@@ -17,18 +16,16 @@ DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
     assert(sorted[i - 1].sort_key() <= sorted[i].sort_key());
   }
 #endif
-  if (cfg_.granularity == Granularity::kLine) {
-    return pool_ != nullptr ? coalesce_lines_pooled(sorted, start)
-                            : coalesce_lines(sorted, start);
-  }
-  return coalesce_payload(sorted, start);
+  return cfg_.granularity == Granularity::kLine
+             ? coalesce_lines(sorted, start)
+             : coalesce_payload(sorted, start);
 }
 
 void DmcUnit::emit_line_run(
     Addr first_line_addr, std::uint32_t count, ReqType type,
     std::vector<std::vector<CoalescerRequest>>& line_groups, Cycle ready_at,
     std::vector<CoalescedPacket>& out) const {
-  assert(count <= line_groups.size());
+  assert(count == line_groups.size());
   const std::uint32_t line = cfg_.line_bytes;
   std::uint32_t emitted = 0;
   while (emitted < count) {
@@ -39,7 +36,6 @@ void DmcUnit::emit_line_run(
       chunk *= 2;
     }
     CoalescedPacket pkt{};
-    if (pool_ != nullptr) pkt.constituents = pool_->acquire_requests();
     pkt.addr = first_line_addr + static_cast<Addr>(emitted) * line;
     pkt.bytes = chunk * line;
     pkt.type = type;
@@ -104,74 +100,6 @@ DmcResult DmcUnit::coalesce_lines(std::span<const CoalescerRequest> sorted,
     }
     emit_line_run(run_base, static_cast<std::uint32_t>(groups.size()), type,
                   groups, t, result.packets);
-  }
-  result.finished_at = t;
-  return result;
-}
-
-DmcResult DmcUnit::coalesce_lines_pooled(
-    std::span<const CoalescerRequest> sorted, Cycle start) const {
-  // Same run-scan state machine as coalesce_lines (kept byte-identical in
-  // its timing and packet math), but every buffer comes from the pool: the
-  // line-group table is a scratch whose inner vectors keep capacity across
-  // runs AND batches, and packet carriers / constituents are free-listed.
-  DmcResult result;
-  result.packets = pool_->acquire_packets();
-  const std::uint32_t line = cfg_.line_bytes;
-  const Addr block = cfg_.max_packet_bytes;
-  Cycle t = start + cfg_.tau;  // pipeline fill
-
-  std::vector<std::vector<CoalescerRequest>>& groups = pool_->groups_scratch();
-  std::size_t used = 0;  // groups[0..used) belong to the current run
-  auto open_group = [&](const CoalescerRequest& r) {
-    if (used == groups.size()) groups.emplace_back();
-    groups[used].clear();
-    groups[used].push_back(r);
-    ++used;
-  };
-
-  std::size_t i = 0;
-  while (i < sorted.size()) {
-    // Open a run at request i.
-    const ReqType type = sorted[i].type;
-    const Addr run_base = align_down(sorted[i].addr, line);
-    const Addr run_block = align_down(run_base, block);
-    used = 0;
-    open_group(sorted[i]);
-    Addr last_line = run_base;
-    t += cfg_.tau;  // compare slot of the run opener
-    ++i;
-
-    while (i < sorted.size()) {
-      const CoalescerRequest& next = sorted[i];
-      if (next.type != type) break;
-      const Addr next_line = align_down(next.addr, line);
-      t += cfg_.tau;  // every candidate spends a compare slot
-      if (next_line == last_line) {
-        // Identical line: dedup-merge into the current line group.
-        groups[used - 1].push_back(next);
-        t += cfg_.tau;  // merge stage
-        ++result.merge_ops;
-        ++i;
-        continue;
-      }
-      if (next_line == last_line + line &&
-          align_down(next_line, block) == run_block) {
-        open_group(next);
-        last_line = next_line;
-        t += cfg_.tau;  // merge stage
-        ++result.merge_ops;
-        ++i;
-        continue;
-      }
-      // Not coalescable with this run: the compare already happened; the
-      // request re-opens a run on the next outer iteration (its compare slot
-      // there is the same hardware slot, so refund it).
-      t -= cfg_.tau;
-      break;
-    }
-    emit_line_run(run_base, static_cast<std::uint32_t>(used), type, groups, t,
-                  result.packets);
   }
   result.finished_at = t;
   return result;

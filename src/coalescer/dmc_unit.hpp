@@ -24,8 +24,6 @@
 
 namespace hmcc::coalescer {
 
-class PacketPool;
-
 struct DmcResult {
   std::vector<CoalescedPacket> packets;
   Cycle finished_at = 0;      ///< cycle the last packet left the DMC unit
@@ -43,29 +41,19 @@ class DmcUnit {
 
   [[nodiscard]] const CoalescerConfig& config() const noexcept { return cfg_; }
 
-  /// Attach a buffer pool (nullptr detaches). While attached, coalesce()
-  /// draws packet carriers / constituent vectors / line-group scratch from
-  /// the pool instead of allocating per run — identical output, no churn.
-  void set_pool(PacketPool* pool) noexcept { pool_ = pool; }
-
  private:
   [[nodiscard]] DmcResult coalesce_lines(
-      std::span<const CoalescerRequest> sorted, Cycle start) const;
-  [[nodiscard]] DmcResult coalesce_lines_pooled(
       std::span<const CoalescerRequest> sorted, Cycle start) const;
   [[nodiscard]] DmcResult coalesce_payload(
       std::span<const CoalescerRequest> sorted, Cycle start) const;
 
   /// Split the line run [first_line, first_line + count) into legal packet
   /// sizes (1/2/4 lines, power-of-two) and append packets to @p out.
-  /// @p line_groups may be larger than @p count (pool scratch): only the
-  /// first @p count groups belong to the run.
   void emit_line_run(Addr first_line_addr, std::uint32_t count, ReqType type,
                      std::vector<std::vector<CoalescerRequest>>& line_groups,
                      Cycle ready_at, std::vector<CoalescedPacket>& out) const;
 
   CoalescerConfig cfg_;
-  PacketPool* pool_ = nullptr;
 };
 
 }  // namespace hmcc::coalescer

@@ -16,7 +16,7 @@ bool DynamicMshrFile::covers(const Entry& e, Addr line_addr) const noexcept {
 }
 
 std::vector<CoalescedPacket> DynamicMshrFile::repacketize(
-    std::vector<CoalescerRequest>& leftovers, ReqType type,
+    std::vector<CoalescerRequest> leftovers, ReqType type,
     Cycle ready_at) const {
   std::vector<CoalescedPacket> out;
   if (leftovers.empty()) return out;
@@ -85,10 +85,7 @@ std::size_t DynamicMshrFile::plan_overlap(const CoalescedPacket& pkt,
   // Figure 8 configuration sweep.
   hit_entry.assign(pkt.constituents.size(), nullptr);
   if (!cfg_.enable_mshr_merge) return 0;
-  std::vector<std::size_t> local_attach;
-  std::vector<std::size_t>& planned_attach =
-      cfg_.enable_pool ? attach_scratch_ : local_attach;
-  planned_attach.assign(entries_.size(), 0);
+  std::vector<std::size_t> planned_attach(entries_.size(), 0);
   std::size_t covered = 0;
   for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
     const Addr line = align_down(pkt.constituents[c].addr, cfg_.line_bytes);
@@ -126,8 +123,7 @@ void DynamicMshrFile::commit_attaches(const CoalescedPacket& pkt,
 }
 
 bool DynamicMshrFile::try_merge_only(const CoalescedPacket& pkt) {
-  std::vector<Entry*> local_hits;
-  std::vector<Entry*>& hit_entry = cfg_.enable_pool ? hit_scratch_ : local_hits;
+  std::vector<Entry*> hit_entry;
   const std::size_t covered = plan_overlap(pkt, hit_entry);
   if (covered != pkt.constituents.size()) return false;
   commit_attaches(pkt, hit_entry);
@@ -142,14 +138,10 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
   InsertResult result;
 
   // --- Planning pass (no mutation) --------------------------------------
-  std::vector<Entry*> local_hits;
-  std::vector<Entry*>& hit_entry = cfg_.enable_pool ? hit_scratch_ : local_hits;
+  std::vector<Entry*> hit_entry;
   const std::size_t covered = plan_overlap(pkt, hit_entry);
 
-  std::vector<CoalescerRequest> local_remainder;
-  std::vector<CoalescerRequest>& remainder =
-      cfg_.enable_pool ? remainder_scratch_ : local_remainder;
-  remainder.clear();
+  std::vector<CoalescerRequest> remainder;
   for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
     if (!hit_entry[c]) remainder.push_back(pkt.constituents[c]);
   }
@@ -159,7 +151,7 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
     // No overlap at all: the packet allocates as-is (no re-split).
     new_packets.push_back(pkt);
   } else if (!remainder.empty()) {
-    new_packets = repacketize(remainder, pkt.type, pkt.ready_at);
+    new_packets = repacketize(std::move(remainder), pkt.type, pkt.ready_at);
   }
 
   if (new_packets.size() > capacity() - used_) {

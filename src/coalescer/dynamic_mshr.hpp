@@ -113,10 +113,9 @@ class DynamicMshrFile {
   /// Commit pass: attach the planned constituents as subentries.
   void commit_attaches(const CoalescedPacket& pkt,
                        const std::vector<Entry*>& hit_entry);
-  /// Re-packetize leftover constituents into legal packets. Consumes
-  /// @p leftovers (sorted in place, elements moved out).
+  /// Re-packetize leftover constituents into legal packets.
   [[nodiscard]] std::vector<CoalescedPacket> repacketize(
-      std::vector<CoalescerRequest>& leftovers, ReqType type,
+      std::vector<CoalescerRequest> leftovers, ReqType type,
       Cycle ready_at) const;
   Entry* find_by_issue_id(ReqId id);
 
@@ -125,11 +124,6 @@ class DynamicMshrFile {
   std::uint32_t used_ = 0;
   ReqId next_issue_id_ = 1;
   DynMshrStats stats_;
-  /// Planning-pass scratch, reused across insertions when cfg_.enable_pool
-  /// is set (the pure-function planning passes overwrite them every call).
-  std::vector<Entry*> hit_scratch_;
-  std::vector<std::size_t> attach_scratch_;
-  std::vector<CoalescerRequest> remainder_scratch_;
 };
 
 }  // namespace hmcc::coalescer

@@ -217,30 +217,22 @@ Knob<Target> string_knob(std::string key, std::string scope, std::string help,
 }
 
 /// @p choices are the accepted spellings; @p set receives the raw (already
-/// validated) choice. Extra accepted aliases not worth advertising can be
-/// passed in @p aliases (e.g. mode=full for mode=coalescer).
+/// validated) choice.
 template <typename Target>
 Knob<Target> enum_knob(std::string key, std::string scope, std::string help,
                        std::vector<std::string> choices,
                        std::function<std::string(const Target&)> get,
-                       std::function<void(Target&, const std::string&)> set,
-                       std::vector<std::string> aliases = {}) {
+                       std::function<void(Target&, const std::string&)> set) {
   Knob<Target> k;
   k.meta.key = std::move(key);
   k.meta.scope = std::move(scope);
   k.meta.help = std::move(help);
   k.meta.kind = KnobKind::kEnum;
   k.meta.choices = choices;
-  k.apply = [set = std::move(set), choices = std::move(choices),
-             aliases = std::move(aliases)](Target& t, const std::string& raw) {
+  k.apply = [set = std::move(set), choices = std::move(choices)](
+                Target& t, const std::string& raw) {
     for (const std::string& c : choices) {
       if (raw == c) {
-        set(t, raw);
-        return std::string();
-      }
-    }
-    for (const std::string& a : aliases) {
-      if (raw == a) {
         set(t, raw);
         return std::string();
       }

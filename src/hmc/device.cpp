@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <future>
 #include <string>
 #include <utility>
 
@@ -26,16 +25,6 @@ HmcDevice::HmcDevice(Kernel& kernel, HmcConfig cfg)
   drain_gen_.assign(cfg_.num_vaults, 0);
   drain_at_.assign(cfg_.num_vaults, 0);
   drain_armed_.assign(cfg_.num_vaults, 0);
-}
-
-void HmcDevice::enable_vault_parallel(Cycle bound, unsigned threads) {
-  assert(bound >= 1 && "weave bound must cover at least one cycle");
-  assert(staged_.empty() && "enable before the first submit");
-  weave_enabled_ = true;
-  bound_ = bound;
-  lane_index_.resize(cfg_.num_vaults);
-  active_vaults_.reserve(cfg_.num_vaults);
-  if (!lane_pool_) lane_pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 Cycle HmcDevice::noc_traverse(std::vector<Cycle>& ports, std::uint32_t from_q,
@@ -139,37 +128,13 @@ void HmcDevice::submit(const RequestPacket& pkt,
     return;
   }
 
-  if (use_weave()) {
-    if (vault_arrival > now) {
-      LaneJob job;
-      job.d = d;
-      job.bytes = pkt.data_bytes();
-      job.vault_arrival = vault_arrival;
-      job.link_idx = link_idx;
-      job.resp_flits = pkt.response_flits();
-      // Reserved at the exact point the serial path would schedule the
-      // completion event (Vault::serve consumes no sequence numbers), so
-      // the commit lands in the same same-cycle firing slot.
-      job.seq = kernel_.reserve_seq();
-      job.resp = resp;
-      job.cb = std::move(on_response);
-      staged_.push_back(std::move(job));
-      arm_weave(vault_arrival);
-      return;
-    }
-    // Degenerate zero-latency config: the request reaches its vault this
-    // very cycle, so staged work (which precedes it in submit order) must
-    // land first to keep per-vault service order.
-    flush_lanes();
-  }
-
   const VaultServiceResult served =
       vaults_[d.vault].serve(d, pkt.data_bytes(), vault_arrival);
   const Cycle resp_at_link = response_at_link(
       link_idx, vault_quadrant, pkt.response_flits(), served.data_ready);
   const Cycle completed = link.send_response(pkt.response_flits(), resp_at_link);
   resp.completed_at = completed;
-  commit(completed, 0, d.vault, resp, std::move(on_response));
+  commit(completed, d.vault, resp, std::move(on_response));
 }
 
 void HmcDevice::pump_vault(std::uint32_t vault_idx) {
@@ -204,98 +169,20 @@ void HmcDevice::finish_deferred(std::uint32_t vault_idx,
   const Cycle completed =
       links_[ctx.link_idx].send_response(ctx.resp_flits, resp_at_link);
   ctx.resp.completed_at = completed;
-  commit(completed, 0, vault_idx, ctx.resp, std::move(ctx.cb));
+  commit(completed, vault_idx, ctx.resp, std::move(ctx.cb));
   ctx.cb = nullptr;
   free_ctx_.push_back(served.token);
 }
 
-void HmcDevice::arm_weave(Cycle arrival) {
-  assert(arrival > kernel_.now() && "staged arrivals lie strictly ahead");
-  // Fire before the earliest staged arrival so lane service never races a
-  // submission, and within bound_ cycles so staging stays bounded. Clamped
-  // to >= now: with arrival == now + 1 the deadline lands at now (fires
-  // later this very cycle, still before the arrival), and the subtraction
-  // can never underflow even if the invariant above is violated in a
-  // release build.
-  const Cycle deadline = std::max(
-      kernel_.now(), std::min(kernel_.now() + bound_, arrival - 1));
-  if (weave_armed_ && weave_at_ <= deadline) return;
-  weave_armed_ = true;
-  weave_at_ = deadline;
-  const std::uint64_t gen = ++weave_gen_;
-  kernel_.schedule_at(deadline, [this, gen] {
-    if (gen != weave_gen_) return;  // superseded by a reschedule or flush
-    flush_lanes();
-  });
-}
-
-void HmcDevice::flush_lanes() {
-  ++weave_gen_;  // any in-flight weave event is now a stale no-op
-  weave_armed_ = false;
-  if (staged_.empty()) return;
-
-  // Lane phase: group staged jobs per vault, preserving submission order
-  // within each lane. Vault and bank state is strictly vault-local, so the
-  // lanes advance independently; each sees the identical (address, bytes,
-  // arrival) call sequence the serial path would have issued.
-  active_vaults_.clear();
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    std::vector<std::size_t>& lane = lane_index_[staged_[i].d.vault];
-    if (lane.empty()) active_vaults_.push_back(staged_[i].d.vault);
-    lane.push_back(i);
-  }
-  auto serve_lane = [this](std::uint32_t vault_idx) {
-    Vault& v = vaults_[vault_idx];
-    for (const std::size_t i : lane_index_[vault_idx]) {
-      LaneJob& job = staged_[i];
-      job.served = v.serve(job.d, job.bytes, job.vault_arrival);
-    }
-  };
-  if (lane_pool_ && active_vaults_.size() > 1) {
-    std::vector<std::future<void>> done;
-    done.reserve(active_vaults_.size());
-    for (const std::uint32_t v : active_vaults_) {
-      done.push_back(lane_pool_->submit([&serve_lane, v] { serve_lane(v); }));
-    }
-    // Barrier: joins the lane results and (via future::get) synchronizes
-    // the workers' writes with the weave phase below.
-    for (std::future<void>& f : done) f.get();
-  } else {
-    for (const std::uint32_t v : active_vaults_) serve_lane(v);
-  }
-  for (const std::uint32_t v : active_vaults_) lane_index_[v].clear();
-
-  // Weave phase: serial commit in submission order. The response channel of
-  // each link (and the NoC response ports) advances through the same call
-  // sequence as the serial path, and every completion files under the
-  // sequence number reserved at submit, so same-cycle firing order is
-  // preserved exactly.
-  for (LaneJob& job : staged_) {
-    const std::uint32_t vault_quadrant =
-        job.d.vault / cfg_.vaults_per_quadrant();
-    const Cycle resp_at_link = response_at_link(
-        job.link_idx, vault_quadrant, job.resp_flits, job.served.data_ready);
-    const Cycle completed =
-        links_[job.link_idx].send_response(job.resp_flits, resp_at_link);
-    job.resp.completed_at = completed;
-    commit(completed, job.seq, job.d.vault, job.resp, std::move(job.cb));
-  }
-  staged_.clear();
-}
-
-void HmcDevice::commit(Cycle completed, std::uint64_t seq, std::uint32_t vault,
+void HmcDevice::commit(Cycle completed, std::uint32_t vault,
                        ResponsePacket resp, ResponseCallback cb) {
-  auto fn = [this, vault, resp, cb = std::move(cb)]() mutable {
+  kernel_.schedule_at(completed, [this, vault, resp,
+                                  cb = std::move(cb)]() mutable {
     wire_.latency.add(static_cast<double>(resp.latency()));
     --outstanding_;
     --vault_depth_[vault];
     cb(resp);
-  };
-  if (seq == 0) {
-    kernel_.schedule_at(completed, std::move(fn));
-  } else {
-    kernel_.schedule_at_reserved(completed, seq, std::move(fn));
-  }
+  });
 }
 
 HmcStats HmcDevice::stats() const {
@@ -313,7 +200,6 @@ HmcStats HmcDevice::stats() const {
 }
 
 void HmcDevice::reset_stats() {
-  flush_lanes();
   wire_ = HmcStats{};
   for (Vault& v : vaults_) v.reset();
   for (Link& l : links_) l.reset();

@@ -20,25 +20,14 @@
 // xbar_latency + hops * noc_hop_latency to the vault's quadrant, whose
 // ingress router port serializes packets per direction (link-to-vault
 // contention). kOff keeps the historical flat constant.
-//
-// Execution modes: with enable_vault_parallel() the device switches to
-// bound-weave execution: submissions are staged into per-vault lanes, a
-// thread pool advances the vault/bank state machines for all lanes
-// concurrently, and a serial weave phase commits completions in the exact
-// (cycle, seq) order the serial schedule would have produced — see
-// DESIGN.md §11 for the invariants. Weave staging requires the FCFS policy
-// (deferred policies schedule their own drain events, which lane threads
-// must not); with sched != fcfs the device transparently stays serial.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/descriptor.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "hmc/address_map.hpp"
 #include "hmc/config.hpp"
@@ -89,24 +78,6 @@ class HmcDevice {
   /// @p on_response fires exactly once at completion time.
   void submit(const RequestPacket& pkt, ResponseCallback on_response);
 
-  /// Switch to bound-weave vault-parallel execution (call before the first
-  /// submit). Submissions whose vault arrival lies in the future are staged
-  /// into per-vault lanes; no later than @p bound cycles ahead (or one cycle
-  /// before the earliest staged arrival, whichever is sooner) a weave event
-  /// serves all lanes — @p threads pool workers, 0 = hardware concurrency —
-  /// and commits completions under kernel sequence numbers reserved at
-  /// submission, so every observable result is byte-identical to the serial
-  /// mode. While a trace writer is attached, or while a deferred scheduling
-  /// policy (sched != fcfs) is configured, the device falls back to the
-  /// serial path (trace spans must be emitted in global submit order;
-  /// deferred drains schedule kernel events lane threads may not touch).
-  void enable_vault_parallel(Cycle bound, unsigned threads = 0);
-
-  /// Serve and commit every staged lane job immediately. The System calls
-  /// this before mid-run sampling so sampled gauges observe committed state;
-  /// a no-op in serial mode or when nothing is staged.
-  void flush_lanes();
-
   [[nodiscard]] const HmcConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const AddressMap& address_map() const noexcept { return map_; }
 
@@ -118,8 +89,7 @@ class HmcDevice {
   }
 
   /// Transactions submitted to @p vault whose response has not completed
-  /// yet. Tracked at the device layer (submit / completion event), so the
-  /// value at any sampling point is identical in both execution modes.
+  /// yet, tracked at the device layer (submit / completion event).
   [[nodiscard]] std::uint64_t vault_queue_depth(
       std::uint32_t vault) const noexcept {
     return vault_depth_[vault];
@@ -129,8 +99,7 @@ class HmcDevice {
 
   /// Attach a chrome-trace writer (nullptr detaches); forwarded to every
   /// vault, which emit per-bank row-buffer spans (row_open / row_hit /
-  /// row_conflict) while attached. Attaching disables lane staging (the
-  /// device reverts to the serial path until detached).
+  /// row_conflict) while attached.
   void set_trace(obs::TraceWriter* trace) noexcept;
 
   /// The device's metric schema: wire counters (`hmcc_hmc_*`: reads/writes,
@@ -143,21 +112,6 @@ class HmcDevice {
   [[nodiscard]] desc::StatSet stat_descriptors() const;
 
  private:
-  /// One staged transaction: everything the lane worker needs to run
-  /// Vault::serve plus everything the weave phase needs to commit the
-  /// completion exactly as the serial path would have.
-  struct LaneJob {
-    DecodedAddr d{};
-    std::uint32_t bytes = 0;
-    Cycle vault_arrival = 0;
-    std::uint32_t link_idx = 0;
-    std::uint32_t resp_flits = 0;
-    std::uint64_t seq = 0;            ///< reserved at submit time
-    VaultServiceResult served{};      ///< filled by the lane worker
-    ResponsePacket resp{};            ///< completed_at filled at commit
-    ResponseCallback cb;
-  };
-
   /// Response context of one deferred (queued) transaction, held from
   /// admission to service. Slab-allocated; VaultRequest::token is
   /// slab index + 1 (0 = no context, the pass-through path).
@@ -168,10 +122,6 @@ class HmcDevice {
     ResponseCallback cb;
   };
 
-  [[nodiscard]] bool use_weave() const noexcept {
-    return weave_enabled_ && trace_ == nullptr &&
-           cfg_.sched == SchedPolicy::kFcfs;
-  }
   [[nodiscard]] bool deferred_sched() const noexcept {
     return cfg_.sched != SchedPolicy::kFcfs;
   }
@@ -187,10 +137,6 @@ class HmcDevice {
   Cycle response_at_link(std::uint32_t link_idx, std::uint32_t vault_quadrant,
                          std::uint32_t flits, Cycle data_ready);
 
-  /// (Re)schedule the weave event so it fires before @p arrival (the vault
-  /// timestamp of the job just staged) and within bound_ cycles of now.
-  void arm_weave(Cycle arrival);
-
   /// Deferred drain: serve policy picks while the vault is ready, then arm
   /// a kernel event at the queue's next_ready() cycle (per-vault generation
   /// counter invalidates superseded events).
@@ -199,11 +145,9 @@ class HmcDevice {
   /// Route a served deferred entry's response and schedule its completion.
   void finish_deferred(std::uint32_t vault_idx, const VaultServed& served);
 
-  /// Schedule the completion event for a served transaction. @p seq = 0
-  /// takes the plain schedule_at path (serial mode); a nonzero seq files
-  /// the event under that reserved sequence number.
-  void commit(Cycle completed, std::uint64_t seq, std::uint32_t vault,
-              ResponsePacket resp, ResponseCallback cb);
+  /// Schedule the completion event for a served transaction.
+  void commit(Cycle completed, std::uint32_t vault, ResponsePacket resp,
+              ResponseCallback cb);
 
   Kernel& kernel_;
   HmcConfig cfg_;
@@ -229,19 +173,6 @@ class HmcDevice {
   std::vector<std::uint64_t> drain_gen_;
   std::vector<Cycle> drain_at_;
   std::vector<std::uint8_t> drain_armed_;
-
-  // --- bound-weave state (inert in serial mode) ---
-  bool weave_enabled_ = false;
-  Cycle bound_ = 0;
-  std::unique_ptr<ThreadPool> lane_pool_;
-  std::vector<LaneJob> staged_;  ///< submission order == reserved-seq order
-  /// Scratch: staged_ indices per vault (capacity reused across flushes).
-  std::vector<std::vector<std::size_t>> lane_index_;
-  std::vector<std::uint32_t> active_vaults_;
-  bool weave_armed_ = false;
-  Cycle weave_at_ = 0;
-  /// Invalidates stale weave events after a reschedule or external flush.
-  std::uint64_t weave_gen_ = 0;
 };
 
 }  // namespace hmcc::hmc

@@ -80,13 +80,6 @@ class MemoryBackend {
   /// In-flight transactions, demand and backend-internal traffic alike.
   [[nodiscard]] virtual std::uint64_t outstanding() const noexcept = 0;
 
-  /// Commit any staged execution-engine state (bound-weave lanes) so
-  /// sampled gauges observe committed values; no-op for serial backends.
-  virtual void flush_lanes() {}
-
-  /// Switch the fast tier to bound-weave vault-parallel execution.
-  virtual void enable_vault_parallel(Cycle bound) { (void)bound; }
-
   /// Attach/detach a chrome-trace writer (packet spans, migration spans).
   virtual void set_trace(obs::TraceWriter* trace) { (void)trace; }
 

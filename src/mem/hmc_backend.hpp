@@ -18,10 +18,6 @@ class HmcBackend final : public MemoryBackend {
   [[nodiscard]] std::uint64_t outstanding() const noexcept override {
     return hmc_.outstanding();
   }
-  void flush_lanes() override { hmc_.flush_lanes(); }
-  void enable_vault_parallel(Cycle bound) override {
-    hmc_.enable_vault_parallel(bound);
-  }
   void set_trace(obs::TraceWriter* trace) override;
   [[nodiscard]] hmc::HmcStats hmc_stats() const override {
     return hmc_.stats();

@@ -47,10 +47,6 @@ class HybridBackend final : public MemoryBackend {
 
   void submit(const coalescer::CoalescedPacket& pkt) override;
   [[nodiscard]] std::uint64_t outstanding() const noexcept override;
-  void flush_lanes() override { fast_.flush_lanes(); }
-  void enable_vault_parallel(Cycle bound) override {
-    fast_.enable_vault_parallel(bound);
-  }
   void set_trace(obs::TraceWriter* trace) override;
   [[nodiscard]] hmc::HmcStats hmc_stats() const override {
     return fast_.hmc_stats();

@@ -11,29 +11,10 @@ void Kernel::schedule_at(Cycle when, Callback fn) {
   ++next_seq_;
   if (when - now_ < ring_span_) {
     if (when > now_ && when < scan_hint_) scan_hint_ = when;
-    bucket(when).push_back(Slot{next_seq_, std::move(fn)});
+    bucket(when).push_back(std::move(fn));
     ++ring_count_;
   } else {
     overflow_.push_back(OverflowEvent{when, next_seq_, std::move(fn)});
-    std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-  }
-}
-
-void Kernel::schedule_at_reserved(Cycle when, std::uint64_t seq, Callback fn) {
-  assert(when > now_ && "reserved events must land strictly in the future");
-  assert(seq <= next_seq_ && "seq must come from reserve_seq()");
-  if (when - now_ < ring_span_) {
-    if (when < scan_hint_) scan_hint_ = when;
-    std::vector<Slot>& b = bucket(when);
-    // The bucket is sorted by seq; a reserved seq is older than any seq
-    // appended since the reservation, so splice it into position.
-    const auto it = std::upper_bound(
-        b.begin(), b.end(), seq,
-        [](std::uint64_t s, const Slot& slot) { return s < slot.seq; });
-    b.insert(it, Slot{seq, std::move(fn)});
-    ++ring_count_;
-  } else {
-    overflow_.push_back(OverflowEvent{when, seq, std::move(fn)});
     std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
   }
 }
@@ -42,21 +23,23 @@ Kernel::Next Kernel::find_next() {
   Next ring_next;
   if (ring_count_ > 0) {
     if (pos_ < bucket(now_).size()) {
-      ring_next = Next{Source::kRing, now_, bucket(now_)[pos_].seq};
+      ring_next = Next{Source::kRing, now_};
     } else {
       Cycle c = std::max(scan_hint_, now_ + 1);
       const Cycle end = now_ + ring_span_;
       while (c < end && bucket(c).empty()) ++c;
       scan_hint_ = c;
       assert(c < end && "ring_count_ > 0 but no bucket holds events");
-      ring_next = Next{Source::kRing, c, bucket(c).front().seq};
+      ring_next = Next{Source::kRing, c};
     }
   }
   if (!overflow_.empty()) {
-    const OverflowEvent& o = overflow_.front();
-    if (ring_next.src == Source::kNone || o.when < ring_next.when ||
-        (o.when == ring_next.when && o.seq < ring_next.seq)) {
-      return Next{Source::kOverflow, o.when, o.seq};
+    const Cycle ow = overflow_.front().when;
+    // Ties go to the overflow event: it was scheduled while its cycle was
+    // still outside the ring window, hence before (smaller seq than) every
+    // ring event of the same cycle.
+    if (ring_next.src == Source::kNone || ow <= ring_next.when) {
+      return Next{Source::kOverflow, ow};
     }
   }
   return ring_next;
@@ -64,7 +47,7 @@ Kernel::Next Kernel::find_next() {
 
 void Kernel::advance_to(Cycle to) {
   assert(to > now_);
-  std::vector<Slot>& cur = bucket(now_);
+  std::vector<Callback>& cur = bucket(now_);
   assert(pos_ == cur.size() && "advancing past unfired events");
   cur.clear();  // keeps capacity: future cycles mapping here reuse it
   pos_ = 0;
@@ -84,7 +67,7 @@ void Kernel::fire(const Next& n) {
     fn = std::move(overflow_.back().fn);
     overflow_.pop_back();
   } else {
-    fn = std::move(bucket(now_)[pos_].fn);
+    fn = std::move(bucket(now_)[pos_]);
     ++pos_;
     --ring_count_;
   }

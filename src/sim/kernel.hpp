@@ -10,22 +10,15 @@
 // Nearly every event lands within a few hundred cycles of now() (issue
 // intervals, sort-network latencies, DRAM timings), so events with
 // when - now() < kRingSize go into a ring of per-cycle buckets: scheduling
-// is an O(1) append, and each bucket slot carries the event's sequence
-// number so a bucket is a seq-sorted array (plain schedule_at appends a
-// fresh, monotonically increasing seq, which keeps the bucket sorted for
-// free).  Rare far-future events (when >= now() + kRingSize) go to a small
-// overflow min-heap ordered by (when, seq).  find_next() compares the ring
-// head and the overflow head on the full (when, seq) key, so the two
-// structures need no migration to stay mutually ordered.
-//
-// Reserved sequences: the bound-weave execution mode (src/hmc/device.cpp)
-// decides an event's payload *after* later events have already been
-// scheduled, but must keep the firing order the serial schedule would have
-// produced.  reserve_seq() hands out the next sequence number immediately;
-// schedule_at_reserved() later files the callback under that earlier seq,
-// inserting into the (sorted) bucket at the right position — a rare
-// O(log n + n) splice on a path that stages at most a few dozen events.
-//
+// is an O(1) append and a bucket replays in insertion order, which IS
+// sequence order for a bucket that only ever received in-window appends.
+// Rare far-future events (when >= now() + kRingSize) go to a small overflow
+// min-heap ordered by (when, seq).  No migration is needed to keep the two
+// structures ordered relative to each other: an overflow event for cycle c
+// was by definition scheduled while c was outside the ring window
+// (sched_now <= c - kRingSize), while any ring event for the same c was
+// scheduled strictly later (sched_now > c - kRingSize), so at cycle c the
+// overflow events always carry smaller sequence numbers and fire first.
 // Callbacks are stored as InlineCallback (common/inline_callback.hpp):
 // captures up to 48 bytes live inside the event slot, so the
 // schedule -> fire path performs no heap allocation once bucket capacity
@@ -98,16 +91,6 @@ class Kernel {
   /// Schedule @p fn at absolute cycle @p when (must be >= now()).
   void schedule_at(Cycle when, Callback fn);
 
-  /// Claim the next sequence number without attaching an event yet. Pair
-  /// with schedule_at_reserved(): the returned seq pins the event's place
-  /// in same-cycle firing order as if it had been scheduled right now.
-  [[nodiscard]] std::uint64_t reserve_seq() noexcept { return ++next_seq_; }
-
-  /// File @p fn at absolute cycle @p when (must be > now()) under a
-  /// sequence number previously obtained from reserve_seq(). Events at the
-  /// same cycle fire in seq order regardless of filing order.
-  void schedule_at_reserved(Cycle when, std::uint64_t seq, Callback fn);
-
   /// Run until the event queue drains. Returns the final cycle.
   Cycle run();
 
@@ -126,13 +109,6 @@ class Kernel {
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
 
  private:
-  /// A ring-bucket slot. Buckets stay sorted by seq: plain appends carry a
-  /// fresh monotone seq, reserved insertions splice at the right position.
-  struct Slot {
-    std::uint64_t seq;
-    Callback fn;
-  };
-
   struct OverflowEvent {
     Cycle when;
     std::uint64_t seq;
@@ -151,10 +127,9 @@ class Kernel {
   struct Next {
     Source src = Source::kNone;
     Cycle when = 0;
-    std::uint64_t seq = 0;
   };
 
-  [[nodiscard]] std::vector<Slot>& bucket(Cycle cycle) noexcept {
+  [[nodiscard]] std::vector<Callback>& bucket(Cycle cycle) noexcept {
     return ring_[static_cast<std::size_t>(cycle & ring_mask_)];
   }
 
@@ -172,7 +147,7 @@ class Kernel {
   /// Per-cycle buckets; ring_[c & ring_mask_] holds the events of the unique
   /// in-window cycle congruent to c. Vectors keep their capacity across
   /// clear(), so a warmed-up kernel schedules without allocating.
-  std::vector<std::vector<Slot>> ring_;
+  std::vector<std::vector<Callback>> ring_;
   Cycle ring_span_;  ///< ring_.size() as a Cycle, for window arithmetic
   Cycle ring_mask_;  ///< ring_span_ - 1
   std::vector<OverflowEvent> overflow_;
@@ -184,9 +159,9 @@ class Kernel {
   /// No ring events exist at cycles in (now_, scan_hint_); lets find_next
   /// resume its empty-bucket scan instead of restarting at now_ + 1.
   Cycle scan_hint_ = 1;
-  /// Insertion counter. Every slot materializes its seq so reserved
-  /// sequences (seq handed out before the event body exists) keep their
-  /// place in same-cycle firing order.
+  /// Insertion counter; only overflow events need it materialized (ring
+  /// buckets encode sequence order positionally), but it advances on every
+  /// schedule so the (cycle, seq) ordering contract is easy to reason about.
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
 };

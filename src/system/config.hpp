@@ -67,26 +67,6 @@ struct ObsConfig {
   Cycle sample_interval = 0;
 };
 
-/// Execution-engine knobs (how the simulation runs, never what it computes).
-/// Defaults are the plain serial kernel; turning these on must not change a
-/// single output byte — `scripts/byte_identity_check.sh` enforces that.
-struct ExecConfig {
-  /// `bound = 0` means "pick for me": the weave deadline tracks the staged
-  /// arrival anyway, so the bound only caps how far lanes run ahead of the
-  /// commit cycle. 256 keeps lanes inside one worst-case DRAM row cycle.
-  static constexpr Cycle kAutoBound = 256;
-  /// Bound-weave vault-parallel mode: stage vault service into per-vault
-  /// lanes, advance them on a thread pool, weave results back in
-  /// deterministic (cycle, seq) order.
-  bool vault_parallel = false;
-  /// Maximum cycles a lane may run ahead of the commit point (0 = auto).
-  Cycle bound = 0;
-
-  [[nodiscard]] Cycle resolved_bound() const noexcept {
-    return bound == 0 ? kAutoBound : bound;
-  }
-};
-
 /// Trace corpus record/replay (the `.hmct` codec in src/trace/codec.hpp).
 /// Both default off. Record captures the generated MultiTrace to disk
 /// (atomic temp+rename, so a sweep point crashing mid-write never leaves a
@@ -107,7 +87,6 @@ struct SystemConfig {
   CoreConfig core{};
   CoalescerMode mode = CoalescerMode::kFull;
   ObsConfig obs{};
-  ExecConfig exec{};
   TraceIoConfig trace_io{};
 };
 

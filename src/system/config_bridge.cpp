@@ -243,7 +243,7 @@ std::vector<Knob<SystemConfig>> build_platform_knobs() {
         [](const SystemConfig& c) { return c.hmc.noc_hop_latency; },
         [](SystemConfig& c, std::uint64_t v) { c.hmc.noc_hop_latency = v; }));
 
-  // Datapath mode ("full" accepted as a legacy alias of "coalescer").
+  // Datapath mode.
   t.push_back(desc::enum_knob<SystemConfig>(
       "mode", "platform", "datapath: none|conventional|dmc-only|coalescer",
       {"none", "conventional", "dmc-only", "coalescer"},
@@ -255,30 +255,10 @@ std::vector<Knob<SystemConfig>> build_platform_knobs() {
           c.mode = CoalescerMode::kConventional;
         } else if (v == "dmc-only") {
           c.mode = CoalescerMode::kDmcOnly;
-        } else {  // "coalescer" or the alias "full"
+        } else {
           c.mode = CoalescerMode::kFull;
         }
-      },
-      {"full"}));
-
-  // Execution engine (defaults off: plain serial kernel, per-run heap
-  // buffers). Neither knob may change a single output byte — CI runs the
-  // byte-identity check in both modes.
-  t.push_back(b("vault_parallel",
-                "bound-weave vault-parallel execution (deterministic)",
-                [](const SystemConfig& c) { return c.exec.vault_parallel; },
-                [](SystemConfig& c, bool v) { c.exec.vault_parallel = v; }));
-  t.push_back(
-      u("bound", "vault-parallel lane bound in cycles (0 = auto)", 0, kCycleMax,
-        [](const SystemConfig& c) { return c.exec.bound; },
-        [](SystemConfig& c, std::uint64_t v) { c.exec.bound = v; }));
-  t.push_back(b("pool",
-                "arena pools in the coalescer and cache-hierarchy hot paths",
-                [](const SystemConfig& c) { return c.coalescer.enable_pool; },
-                [](SystemConfig& c, bool v) {
-                  c.coalescer.enable_pool = v;
-                  c.hierarchy.enable_pool = v;
-                }));
+      }));
 
   // Observability (defaults off: no registry, no trace, byte-identical
   // output to an uninstrumented run).
@@ -461,11 +441,6 @@ std::vector<desc::Constraint<SystemConfig>> build_platform_constraints() {
                              : "must not exceed the CRQ capacity "
                                "(llc_mshrs = " +
                                    std::to_string(c.coalescer.num_mshrs) + ")";
-                }});
-  t.push_back(C{"bound", [](const SystemConfig& c) {
-                  return c.exec.bound == 0 || c.exec.vault_parallel
-                             ? std::string()
-                             : "requires vault_parallel=on";
                 }});
   t.push_back(C{"page_bytes", [](const SystemConfig& c) {
                   return is_pow2(c.mem.page_bytes) && c.mem.page_bytes >= 64

@@ -8,7 +8,6 @@
 //   hmc_gb, vaults, banks, links, block_bytes, closed_page
 //   t_rcd, t_cl, t_rp, t_ras, serdes, xbar, cycles_per_flit
 //   mode (none|conventional|dmc-only|coalescer)
-//   vault_parallel, bound, pool
 //   metrics, trace_json, trace_events, sample_interval
 //
 // The knobs are DECLARED once, in the platform_knobs() table
@@ -34,7 +33,7 @@ namespace hmcc::system {
 [[nodiscard]] const std::vector<desc::KnobMeta>& platform_knob_metadata();
 
 /// Cross-knob structural invariants (geometry validity, window vs CRQ
-/// capacity, bound vs vault_parallel), applied by overlay_config() after
+/// capacity), applied by overlay_config() after
 /// the knob pass. Each failing entry contributes one "key: problem" error.
 [[nodiscard]] const std::vector<desc::Constraint<SystemConfig>>&
 platform_constraints();

@@ -15,9 +15,6 @@ System::System(SystemConfig cfg)
   mem_ = mem::make_backend(
       kernel_, cfg_.hmc, cfg_.mem,
       [this](ReqId id) { coalescer_->on_memory_response(id); });
-  if (cfg_.exec.vault_parallel) {
-    mem_->enable_vault_parallel(cfg_.exec.resolved_bound());
-  }
   coalescer_ = std::make_unique<coalescer::MemoryCoalescer>(
       kernel_, cfg_.coalescer,
       [this](const coalescer::CoalescedPacket& pkt) { mem_->submit(pkt); },
@@ -253,9 +250,6 @@ void System::arm_sampler() {
   // forever. Sampling never mutates simulator state, so a run's results are
   // byte-identical with the sampler on or off.
   kernel_.schedule(cfg_.obs.sample_interval, [this] {
-    // Weave lanes may hold vault results not yet committed; flush so the
-    // gauges observe the same state the serial kernel would show here.
-    mem_->flush_lanes();
     sample_set_->sample(*metrics_);
     if (!sim_drained()) arm_sampler();
   });

@@ -1,4 +1,4 @@
-// GPU/warp SIMT front-end: warp-shaped trace generation (DESIGN.md §13).
+// GPU/warp SIMT front-end: warp-shaped trace generation (DESIGN.md §12).
 //
 // The paper's coalescer aggregates LLC misses from CPU cores, but the same
 // hardware sits naturally behind a GPU-style SM whose warps issue vector

@@ -114,13 +114,13 @@ TEST(Hierarchy, RandomStreamConsistentLevels) {
 }
 
 TEST(Hierarchy, PooledWritebackVectorsAreIdentityPreserving) {
-  HierarchyConfig pooled_cfg = tiny_cfg();
-  pooled_cfg.enable_pool = true;
   Hierarchy plain(tiny_cfg());
-  Hierarchy pooled(pooled_cfg);
-  // A store-heavy random stream forces dirty evictions at every level;
-  // pooled and unpooled runs must observe identical results throughout.
+  Hierarchy pooled(tiny_cfg());
+  // A store-heavy random stream forces dirty evictions at every level; a
+  // caller that recycles its write-back vectors must observe exactly what
+  // one that lets them free observes.
   Xoshiro256 rng(99);
+  int reused = 0;
   for (int i = 0; i < 4000; ++i) {
     const auto core = static_cast<std::uint32_t>(rng.below(2));
     const Addr addr = rng.below(1 << 10) * 64;
@@ -131,11 +131,15 @@ TEST(Hierarchy, PooledWritebackVectorsAreIdentityPreserving) {
     EXPECT_EQ(a.line_addr, b.line_addr);
     EXPECT_EQ(a.latency, b.latency);
     ASSERT_EQ(a.memory_writebacks, b.memory_writebacks);
+    // A fresh vector with no write-backs has no capacity; an empty one
+    // that does came off the free list.
+    EXPECT_EQ(a.memory_writebacks.capacity() == 0, a.memory_writebacks.empty());
+    if (b.memory_writebacks.empty() && b.memory_writebacks.capacity() > 0) {
+      ++reused;
+    }
     pooled.recycle(std::move(b.memory_writebacks));
   }
-  EXPECT_GT(pooled.pool_reused(), 0u);
-  EXPECT_EQ(plain.pool_reused(), 0u);
-  EXPECT_EQ(plain.pool_fresh(), 0u);  // counters only tick in pool mode
+  EXPECT_GT(reused, 0);
 }
 
 TEST(Hierarchy, ResetRestoresColdState) {

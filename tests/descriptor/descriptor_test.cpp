@@ -156,19 +156,19 @@ TEST(PlatformKnobs, EnumAndBoolKnobsRejectUnknownSpellings) {
   }
 }
 
-TEST(PlatformKnobs, ModeAcceptsLegacyFullAlias) {
+TEST(PlatformKnobs, ModeRejectsRetiredFullAlias) {
+  // "full" (a retired alias of "coalescer") fails like any unknown
+  // spelling, reported under the mode: key.
+  Config cli;
+  cli.set("mode", "full");
   system::SystemConfig cfg = system::paper_system_config();
   cfg.mode = system::CoalescerMode::kNone;
-  const auto& knobs = system::platform_knobs();
-  const auto it =
-      std::find_if(knobs.begin(), knobs.end(),
-                   [](const auto& k) { return k.meta.key == "mode"; });
-  ASSERT_NE(it, knobs.end());
-  EXPECT_EQ(it->apply(cfg, "full"), "");
-  EXPECT_EQ(cfg.mode, system::CoalescerMode::kFull);
-  // The alias is accepted but not advertised: read() yields the canonical
-  // spelling, which round-trips.
-  EXPECT_EQ(it->read(cfg), "coalescer");
+  std::vector<std::string> errors;
+  EXPECT_FALSE(system::overlay_config(cli, cfg, errors));
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0],
+            "mode: 'full' is not one of none|conventional|dmc-only|coalescer");
+  EXPECT_EQ(cfg.mode, system::CoalescerMode::kNone);
 }
 
 TEST(PlatformKnobs, OverlayAppliesNonDefaultsAndReadsThemBack) {

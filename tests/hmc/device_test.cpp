@@ -145,41 +145,6 @@ TEST(HmcDevice, ResponsesOfEqualPacketsAreFifoPerVault) {
   EXPECT_EQ(order, (std::vector<ReqId>{0, 1, 2, 3}));
 }
 
-TEST(HmcDevice, WeaveHandlesArrivalOneCycleAfterSubmit) {
-  // Kernel-boundary regression for arm_weave: with a 1-cycle SerDes and a
-  // free crossbar the vault arrival of a submit at cycle `now` is exactly
-  // `now + 1`, which drives the weave deadline `min(now + bound, arrival-1)`
-  // to `now` itself — the earliest cycle schedule_at() accepts. The weave
-  // run must complete every request and match the serial timing exactly.
-  HmcConfig cfg;
-  cfg.serdes_latency = 1;
-  cfg.xbar_latency = 0;
-  cfg.cycles_per_flit = 0;
-  ASSERT_TRUE(cfg.valid());
-
-  auto run = [&](bool weave) {
-    Kernel kernel;
-    HmcDevice dev(kernel, cfg);
-    if (weave) dev.enable_vault_parallel(/*bound=*/256, /*threads=*/2);
-    std::vector<Cycle> completions;
-    for (int i = 0; i < 32; ++i) {
-      dev.submit(make_read(static_cast<ReqId>(i),
-                           static_cast<Addr>(i) * 4096, 64),
-                 [&completions](const ResponsePacket& r) {
-                   completions.push_back(r.completed_at);
-                 });
-    }
-    kernel.run();
-    EXPECT_EQ(dev.outstanding(), 0u);
-    return completions;
-  };
-
-  const std::vector<Cycle> serial = run(false);
-  const std::vector<Cycle> woven = run(true);
-  ASSERT_EQ(serial.size(), 32u);
-  EXPECT_EQ(woven, serial);
-}
-
 TEST(HmcDevice, ResetStatsZeroesWire) {
   Kernel kernel;
   HmcDevice dev(kernel, HmcConfig{});

@@ -2,9 +2,7 @@
 // ordering, starvation cap, batch boundaries) plus system-level
 // differentials — sched=fcfs must be byte-identical to the pre-queue
 // baseline for every queue depth and seed, FR-FCFS must drain everything it
-// admits and recover at least FCFS's row hits on a row-local workload, and
-// a deferred policy under exec.vault_parallel must transparently fall back
-// to the serial path with identical output.
+// admits and recover at least FCFS's row hits on a row-local workload.
 #include "hmc/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -283,26 +281,6 @@ TEST(SchedulerSystem, StarveCapOneDegradesTowardFcfsOrder) {
   ASSERT_TRUE(r.report.drained);
   EXPECT_EQ(r.report.hmc.reads + r.report.hmc.writes,
             r.report.memory_requests);
-}
-
-TEST(SchedulerSystem, DeferredPolicyIdenticalUnderVaultParallelKnob) {
-  // sched != fcfs forces the serial path even with exec.vault_parallel on;
-  // flipping the knob must not change one byte of output.
-  const auto mt = random_trace(7, 3, 500);
-  for (const hmc::SchedPolicy policy :
-       {hmc::SchedPolicy::kFrfcfs, hmc::SchedPolicy::kBatch}) {
-    SystemConfig cfg = base_cfg(3);
-    cfg.hmc.closed_page = false;
-    cfg.hmc.sched = policy;
-    const Observed serial = observe(cfg, mt);
-    ASSERT_TRUE(serial.report.drained);
-    SystemConfig wcfg = cfg;
-    wcfg.exec.vault_parallel = true;
-    const Observed weave = observe(wcfg, mt);
-    EXPECT_EQ(weave.report.runtime, serial.report.runtime)
-        << to_string(policy);
-    EXPECT_EQ(weave.metrics, serial.metrics) << to_string(policy);
-  }
 }
 
 TEST(SchedulerSystem, TinyQueueForcesOverflowServesAndStillDrains) {

@@ -6,9 +6,7 @@
 //  * turning the coalescer on/off under scheme=migrate changes only the
 //    intended counters, and every demand packet lands in exactly one tier;
 //  * the default mem=hmc run still renders the exact Prometheus text the
-//    pre-seam simulator produced (fixtures in tests/golden/preseam);
-//  * the pool= knob (coalescer + cache-hierarchy arenas) changes nothing
-//    observable.
+//    pre-seam simulator produced (fixtures in tests/golden/preseam).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -209,24 +207,6 @@ TEST(BackendSeam, DefaultBackendMatchesPreSeamPrometheusFixtures) {
           << workload << " seed " << seed << " drifted from " << path;
     }
   }
-}
-
-TEST(BackendSeam, ArenaPoolsChangeNothingObservable) {
-  const auto mt = random_trace(53, 4, 800);
-  SystemConfig off = base_cfg(4);
-  const Observed a = observe(off, mt);
-  ASSERT_TRUE(a.report.drained);
-
-  SystemConfig on = base_cfg(4);
-  on.coalescer.enable_pool = true;
-  on.hierarchy.enable_pool = true;
-  const Observed b = observe(on, mt);
-  ASSERT_TRUE(b.report.drained);
-
-  EXPECT_EQ(b.report.runtime, a.report.runtime);
-  EXPECT_EQ(b.report.cpu_accesses, a.report.cpu_accesses);
-  EXPECT_EQ(b.report.memory_requests, a.report.memory_requests);
-  EXPECT_EQ(b.metrics, a.metrics);
 }
 
 }  // namespace

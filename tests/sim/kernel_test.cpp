@@ -238,12 +238,16 @@ TEST(Kernel, TinyRingMatchesDefaultRingSchedule) {
 // ---------------------------------------------------------------------------
 // Randomized differential test: the production Kernel must fire the exact
 // same (event id, cycle) sequence as the reference heap scheduler for
-// arbitrary self-expanding event trees mixing ring and overflow delays.
+// arbitrary self-expanding event trees mixing ring and overflow delays. A
+// 64-bucket ring sends most of the 0..300-cycle delays through the overflow
+// heap, so overflow and ring events keep meeting at the same cycle — where
+// the bucket's append order must defer to the heap's earlier-scheduled
+// events.
 
 template <typename K>
-std::vector<std::pair<std::uint64_t, Cycle>> run_scenario(std::uint64_t seed,
+std::vector<std::pair<std::uint64_t, Cycle>> run_scenario(K& k,
+                                                          std::uint64_t seed,
                                                           bool use_run_until) {
-  K k;
   std::vector<std::pair<std::uint64_t, Cycle>> log;
   std::uint64_t next_id = 0;
   std::function<void(std::uint64_t)> fire = [&](std::uint64_t id) {
@@ -276,73 +280,28 @@ std::vector<std::pair<std::uint64_t, Cycle>> run_scenario(std::uint64_t seed,
 
 TEST(Kernel, DifferentialAgainstReferenceHeapScheduler) {
   for (std::uint64_t seed : {1ULL, 42ULL, 1234567ULL}) {
-    const auto expected = run_scenario<sim::ReferenceKernel>(seed, false);
-    const auto actual = run_scenario<Kernel>(seed, false);
+    sim::ReferenceKernel ref;
+    const auto expected = run_scenario(ref, seed, false);
     ASSERT_GT(expected.size(), 100u);
-    EXPECT_EQ(actual, expected) << "seed " << seed;
+    for (std::size_t ring : {Kernel::kRingSize, std::size_t{64}}) {
+      Kernel k(ring);
+      EXPECT_EQ(run_scenario(k, seed, false), expected)
+          << "seed " << seed << " ring " << ring;
+    }
   }
 }
 
 TEST(Kernel, DifferentialUnderRunUntilStepping) {
   for (std::uint64_t seed : {7ULL, 99ULL}) {
-    const auto expected = run_scenario<sim::ReferenceKernel>(seed, true);
-    const auto actual = run_scenario<Kernel>(seed, true);
+    sim::ReferenceKernel ref;
+    const auto expected = run_scenario(ref, seed, true);
     ASSERT_GT(expected.size(), 100u);
-    EXPECT_EQ(actual, expected) << "seed " << seed;
+    for (std::size_t ring : {Kernel::kRingSize, std::size_t{64}}) {
+      Kernel k(ring);
+      EXPECT_EQ(run_scenario(k, seed, true), expected)
+          << "seed " << seed << " ring " << ring;
+    }
   }
-}
-
-TEST(Kernel, ReservedSeqPinsSameCycleOrder) {
-  // A sequence number reserved between two plain schedules must fire between
-  // them at the same cycle, no matter how late the callback is attached —
-  // this is the commit-order guarantee the bound-weave device builds on.
-  Kernel k;
-  std::vector<int> order;
-  k.schedule_at(10, [&] { order.push_back(1); });
-  const std::uint64_t seq = k.reserve_seq();
-  k.schedule_at(10, [&] { order.push_back(3); });
-  k.schedule_at(5, [&k, &order, seq] {
-    // Attach the reserved event mid-run, after its same-cycle neighbours.
-    k.schedule_at_reserved(10, seq, [&order] { order.push_back(2); });
-  });
-  k.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(k.events_fired(), 4u);
-}
-
-TEST(Kernel, ReservedSeqWorksThroughOverflowHeap) {
-  // Reserved events landing past the ring span take the overflow heap and
-  // must still interleave with ring events by (cycle, seq).
-  Kernel k;
-  std::vector<int> order;
-  const Cycle far = 2 * Kernel::kRingSize;
-  k.schedule_at(far, [&] { order.push_back(1); });
-  const std::uint64_t seq = k.reserve_seq();
-  k.schedule_at(far, [&] { order.push_back(3); });
-  k.schedule_at(1, [&k, &order, seq, far] {
-    k.schedule_at_reserved(far, seq, [&order] { order.push_back(2); });
-  });
-  k.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(k.now(), far);
-}
-
-TEST(Kernel, ReservedSeqSplicesBeforeLaterRingEvents) {
-  // A reserved (small) seq attached to a ring bucket AFTER larger-seq events
-  // already sit there must splice in front of them, with an unrelated
-  // overflow event still firing at its own later cycle.
-  Kernel k;
-  std::vector<int> order;
-  const Cycle target = Kernel::kRingSize / 2;
-  const std::uint64_t seq = k.reserve_seq();
-  k.schedule_at(target + 2 * Kernel::kRingSize,
-                [&] { order.push_back(9); });  // heap path, fires last
-  k.schedule_at(1, [&k, &order, seq, target] {
-    k.schedule_at(target, [&order] { order.push_back(2); });
-    k.schedule_at_reserved(target, seq, [&order] { order.push_back(1); });
-  });
-  k.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 9}));
 }
 
 }  // namespace

@@ -100,32 +100,6 @@ TEST(ConfigBridge, ConstraintsNameTheOffendingKnob) {
     EXPECT_TRUE(overlay_config(cli, cfg));
     EXPECT_EQ(cfg.coalescer.window, 64u);
   }
-  {
-    Config cli;
-    cli.set("bound", "128");  // lane bound without the mode it bounds
-    SystemConfig cfg = paper_system_config();
-    std::vector<std::string> errors;
-    EXPECT_FALSE(overlay_config(cli, cfg, errors));
-    ASSERT_EQ(errors.size(), 1u);
-    EXPECT_EQ(errors[0], "bound: requires vault_parallel=on");
-  }
-  {
-    Config cli;
-    cli.set("vault_parallel", "1");
-    cli.set("bound", "128");
-    SystemConfig cfg = paper_system_config();
-    EXPECT_TRUE(overlay_config(cli, cfg));
-    EXPECT_TRUE(cfg.exec.vault_parallel);
-    EXPECT_EQ(cfg.exec.resolved_bound(), 128u);
-  }
-  {
-    // bound=0 is "auto", legal in either mode.
-    Config cli;
-    cli.set("bound", "0");
-    SystemConfig cfg = paper_system_config();
-    EXPECT_TRUE(overlay_config(cli, cfg));
-    EXPECT_EQ(cfg.exec.resolved_bound(), ExecConfig::kAutoBound);
-  }
 }
 
 TEST(ConfigBridge, OverlaidSystemRuns) {

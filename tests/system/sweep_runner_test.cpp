@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "system/runner.hpp"
@@ -126,12 +127,18 @@ TEST(SweepRunner, ZeroSelectsHardwareConcurrency) {
 TEST(SweepRunner, FailureStopsNewIndicesFromStarting) {
   // After a throw no fresh index may be claimed: with 2 workers at most
   // threads-1 in-flight indices can still run after the failing one.
+  // Every index past 0 waits until the worker that threw index 0 has left
+  // the pool, i.e. until the runner has recorded the failure. Without the
+  // wait a busy host could let the other worker finish the whole range
+  // while the first one is still unwinding.
   SweepRunner runner(2);
+  ASSERT_NE(runner.pool(), nullptr);
   std::atomic<int> started{0};
   try {
     runner.for_each_index(1000, [&](std::size_t i) {
       ++started;
       if (i == 0) throw std::runtime_error("early");
+      while (runner.pool()->active() > 1) std::this_thread::yield();
     });
     FAIL() << "expected exception";
   } catch (const std::runtime_error&) {
