@@ -38,7 +38,7 @@ SuiteBench make_ablation_pipeline() {
   // The hardware cost sheet precedes the measured impact table on stdout,
   // exactly as the standalone binary printed it — but as a preamble, not a
   // printf inside format(): the daemon captures it into the job payload, so
-  // remote (fleet) output keeps the sheet too.
+  // service jobs keep the sheet too.
   b.preamble = [](const BenchEnv&, std::vector<std::any>&) {
     Table costs({"design", "stages", "buffers", "comparators",
                  "initiation (cycles)", "latency (cycles)"});

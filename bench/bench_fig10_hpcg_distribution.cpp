@@ -55,9 +55,9 @@ SuiteBench make_fig10() {
             stream.begin() + static_cast<std::ptrdiff_t>(i),
             stream.begin() + static_cast<std::ptrdiff_t>(end));
         std::stable_sort(batch.begin(), batch.end(),
-                         [](const coalescer::CoalescerRequest& a,
-                            const coalescer::CoalescerRequest& b) {
-                           return a.sort_key() < b.sort_key();
+                         [](const coalescer::CoalescerRequest& lhs,
+                            const coalescer::CoalescerRequest& rhs) {
+                           return lhs.sort_key() < rhs.sort_key();
                          });
         for (const auto& pkt : dmc.coalesce(batch, 0).packets) {
           ++hist.by_size_type[{pkt.bytes, pkt.type == ReqType::kLoad}];

@@ -37,7 +37,8 @@ struct SuiteBench {
   /// accesses= default) on the shared descriptor schema: `GET /benches`,
   /// bench_suite, and the standalone drivers all read this ONE record.
   /// meta.name doubles as the CSV stem and suite filter key, e.g. "fig08".
-  desc::BenchMeta meta{.default_accesses = 15000};
+  desc::BenchMeta meta{
+      .name = {}, .title = {}, .paper_note = {}, .default_accesses = 15000};
   /// False = registered (so --list, only=, the standalone binary, and the
   /// daemon all reach it) but excluded from bench_suite's run-everything
   /// default selection — for benches added after the suite's stdout+CSV
@@ -49,8 +50,7 @@ struct SuiteBench {
   /// Assemble the figure table from the ordered task results (results[i] is
   /// tasks[i]'s return value). Must NOT print: anything written to stdout
   /// here would bypass the job payload when the bench runs inside the
-  /// daemon (and be lost by the fleet's cross-process merge) — extra text
-  /// belongs in preamble/epilogue.
+  /// daemon — extra text belongs in preamble/epilogue.
   std::function<Table(const BenchEnv&, std::vector<std::any>&)> format;
   /// Optional extra output BEFORE the "=== title ===" header (e.g. the
   /// pipeline ablation's hardware cost sheet). Returned, not printed, for

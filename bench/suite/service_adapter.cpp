@@ -34,16 +34,10 @@ system::JobOutput run_bench_job(const SuiteBench& bench,
   ctx.checkpoint();
   const Table table = bench.format(env, results);
   system::JobOutput out;
-  if (bench.preamble) {
-    out.preamble = bench.preamble(env, results);
-    out.text = out.preamble;
-  }
+  if (bench.preamble) out.text = bench.preamble(env, results);
   out.text += "=== " + bench.meta.title + " ===\n" + bench.meta.paper_note +
               "\n" + table.to_ascii();
-  if (bench.epilogue) {
-    out.epilogue = bench.epilogue(env, results);
-    out.text += out.epilogue;
-  }
+  if (bench.epilogue) out.text += bench.epilogue(env, results);
   out.csv = table.to_csv();
   return out;
 }

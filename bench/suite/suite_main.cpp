@@ -16,17 +16,12 @@
 // (same envs, same per-bench input-order collection, LPT only reorders the
 // work queue), for any threads=.
 //
-// Usage: bench_suite [--smoke] [--list] [--metrics PATH]
-//                    [--fleet HOST:PORT[,HOST:PORT...]] [key=value ...]
+// Usage: bench_suite [--smoke] [--list] [--metrics PATH] [key=value ...]
 //   --smoke         tiny workloads (accesses=500 default) for CI sanity
 //   --list          print registered bench names and exit
 //   --metrics PATH  write a final Prometheus snapshot of the suite run
 //                   (per-bench wall time and task counts) to PATH; stdout
 //                   and CSVs are untouched by the flag
-//   --fleet LIST    shard benches across running hmc_coalescerd workers
-//                   over HTTP instead of computing locally; stdout and CSVs
-//                   stay byte-identical to the local run (see fleet.hpp).
-//                   fleet_timeout_ms=N bounds each shard's wall clock.
 //   only=a,b,c      run only the named benches
 //   csvdir=DIR      write CSVs into DIR instead of the working directory
 //   nocsv=1         disable CSV output entirely
@@ -42,7 +37,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "suite/fleet.hpp"
 #include "suite/registry.hpp"
 
 namespace {
@@ -87,7 +81,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool list = false;
   std::string metrics_path;
-  std::string fleet_spec;
   std::vector<const char*> kv_args{argv[0]};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -100,13 +93,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--fleet") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "error: --fleet requires host:port[,host:port...]\n");
-        return 2;
-      }
-      fleet_spec = argv[++i];
     } else {
       kv_args.push_back(argv[i]);
     }
@@ -121,8 +107,7 @@ int main(int argc, char** argv) {
   Config cli;
   std::vector<std::string> rejected;
   cli.parse_args(static_cast<int>(kv_args.size()), kv_args.data(), &rejected);
-  warn_unrecognized(cli, rejected,
-                    {"only", "csvdir", "nocsv", "fleet_timeout_ms"});
+  warn_unrecognized(cli, rejected, {"only", "csvdir", "nocsv"});
 
   // Platform knobs are shared by every bench of the run: validate them once
   // up front (one line per problem) instead of throwing from a worker mid
@@ -156,26 +141,6 @@ int main(int argc, char** argv) {
       }
       selected.push_back(b);
     }
-  }
-
-  // Fleet mode: hand the selection to remote hmc_coalescerd workers and
-  // emit their merged output here. Knob validation above already ran, so a
-  // typo'd platform knob fails fast before anything ships over the wire.
-  if (!fleet_spec.empty()) {
-    if (!metrics_path.empty()) {
-      std::fprintf(stderr,
-                   "warning: --metrics is ignored in --fleet mode (wall "
-                   "times belong to the workers)\n");
-    }
-    FleetOptions fleet_opts;
-    std::string fleet_error;
-    if (!parse_fleet_endpoints(fleet_spec, fleet_opts.endpoints,
-                               fleet_error)) {
-      std::fprintf(stderr, "error: %s\n", fleet_error.c_str());
-      return 2;
-    }
-    fleet_opts.timeout_ms = cli.get_uint("fleet_timeout_ms", 0);
-    return run_fleet(cli, smoke, selected, fleet_opts) == 0 ? 0 : 1;
   }
 
   const bool nocsv = cli.get_bool("nocsv", false);

@@ -7,9 +7,8 @@
 //   trace_workbench cmd=run     file=ft.hmct [mode=coalescer]
 //   trace_workbench cmd=run     workload=lu  [mode=conventional]
 //
-// cmd=save writes the versioned .hmct corpus format (src/trace/codec.hpp);
-// file= / trace_replay= read both .hmct and the legacy flat v1 layout. The
-// platform knobs trace_record=PATH / trace_replay=PATH work here exactly as
+// cmd=save writes the versioned .hmct corpus format (src/trace/codec.hpp),
+// which file= / trace_replay= read back. The platform knobs trace_record=PATH / trace_replay=PATH work here exactly as
 // in the benches, so a recorded corpus file replays byte-identically:
 //
 //   trace_workbench cmd=run workload=warp_gups trace_record=g.hmct csv=a.csv

@@ -93,20 +93,4 @@ std::optional<Addr> Cache::fill(Addr addr, bool dirty) {
   return writeback;
 }
 
-bool Cache::invalidate(Addr addr) {
-  if (Line* line = find(addr)) {
-    const bool was_dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
-    return was_dirty;
-  }
-  return false;
-}
-
-void Cache::reset() {
-  for (Line& l : lines_) l = Line{};
-  policy_ = make_policy(cfg_.replacement, num_sets_, cfg_.ways);
-  stats_ = CacheStats{};
-}
-
 }  // namespace hmcc::cache

@@ -56,16 +56,11 @@ class Cache {
   /// was displaced. @p dirty marks the new line dirty (store miss fill).
   std::optional<Addr> fill(Addr addr, bool dirty);
 
-  /// Remove a line if present; returns true if it was dirty.
-  bool invalidate(Addr addr);
-
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const CacheConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] Addr line_addr(Addr addr) const noexcept {
     return align_down(addr, cfg_.line_bytes);
   }
-
-  void reset();
 
  private:
   struct Line {

@@ -105,13 +105,6 @@ void Hierarchy::recycle(std::vector<Addr>&& writebacks) {
   wb_free_.push_back(std::move(writebacks));
 }
 
-void Hierarchy::reset() {
-  for (auto& c : l1_) c->reset();
-  for (auto& c : l2_) c->reset();
-  llc_->reset();
-  wb_free_.clear();
-}
-
 desc::StatSet Hierarchy::stat_descriptors() const {
   // Level sampler: sums the live per-core caches on every call, so one
   // descriptor serves both end-of-run publication and any future mid-run

@@ -73,8 +73,6 @@ class Hierarchy {
   /// one comes back per recycle(), so the free list stays tiny.
   void recycle(std::vector<Addr>&& writebacks);
 
-  void reset();
-
   /// The hierarchy's metric schema: per-level cache counters as the
   /// `hmcc_cache_*{level=...}` families. L1/L2 are summed across cores
   /// (level="l1"/"l2"); the shared LLC is level="llc". Sample functions

@@ -115,10 +115,6 @@ class MemoryCoalescer {
   [[nodiscard]] const DynamicMshrFile& mshrs() const noexcept {
     return mshrs_;
   }
-  /// Requests anywhere inside the coalescer (not yet issued or merged).
-  [[nodiscard]] std::uint64_t in_flight_inputs() const noexcept {
-    return in_flight_inputs_;
-  }
   /// True when every pipeline structure is empty (quiesced).
   [[nodiscard]] bool idle() const noexcept;
 

@@ -228,16 +228,6 @@ std::optional<DynamicMshrFile::FillResult> DynamicMshrFile::on_fill(ReqId id) {
   return r;
 }
 
-void DynamicMshrFile::reset() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-    e.subs.clear();
-  }
-  used_ = 0;
-  next_issue_id_ = 1;
-  stats_ = DynMshrStats{};
-}
-
 desc::StatSet DynamicMshrFile::stat_descriptors() const {
   const DynMshrStats& s = stats_;
   desc::StatSet set;

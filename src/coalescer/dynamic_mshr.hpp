@@ -88,8 +88,6 @@ class DynamicMshrFile {
   /// outlive the returned set.
   [[nodiscard]] desc::StatSet stat_descriptors() const;
 
-  void reset();
-
  private:
   struct Subentry {
     std::uint8_t line_id;

@@ -117,11 +117,4 @@ PipelineCost PipelinedSorter::cost() const {
   return c;
 }
 
-void PipelinedSorter::reset_timing() {
-  std::fill(group_free_.begin(), group_free_.end(), 0);
-  sort_latency_.reset();
-  batches_ = 0;
-  stages_skipped_ = 0;
-}
-
 }  // namespace hmcc::coalescer

@@ -65,8 +65,6 @@ class PipelinedSorter {
     return stages_skipped_;
   }
 
-  void reset_timing();
-
  private:
   SortingNetwork net_;
   Cycle tau_;

@@ -1,13 +1,9 @@
-// Lightweight statistics primitives: counters, scalar accumulators and
-// fixed-bucket histograms, plus a named registry so simulator components can
-// publish metrics without global state.
+// Streaming scalar statistics for simulator components. Exported metrics are
+// published through desc::StatSet and obs::MetricsRegistry.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace hmcc {
 
@@ -33,8 +29,6 @@ class Accumulator {
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
 
-  void reset() noexcept { *this = Accumulator{}; }
-
   Accumulator& operator+=(const Accumulator& o) noexcept {
     if (o.n_ == 0) return *this;
     if (n_ == 0) { *this = o; return *this; }
@@ -58,74 +52,6 @@ class Accumulator {
   double sum_ = 0.0;
   double min_ = 1e300;
   double max_ = -1e300;
-};
-
-/// Histogram over caller-supplied bucket boundaries; values are clamped into
-/// the outermost buckets. Used e.g. for the Fig 10 request-size distribution.
-class Histogram {
- public:
-  /// @p upper_bounds must be strictly increasing; a final overflow bucket is
-  /// added implicitly.
-  explicit Histogram(std::vector<std::uint64_t> upper_bounds)
-      : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0) {}
-
-  void add(std::uint64_t value, std::uint64_t weight = 1) noexcept {
-    std::size_t i = 0;
-    while (i < bounds_.size() && value > bounds_[i]) ++i;
-    counts_[i] += weight;
-    total_ += weight;
-  }
-
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& bounds() const noexcept {
-    return bounds_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const noexcept {
-    return counts_;
-  }
-  [[nodiscard]] double fraction(std::size_t bucket) const noexcept {
-    return total_ ? static_cast<double>(counts_[bucket]) /
-                        static_cast<double>(total_)
-                  : 0.0;
-  }
-
- private:
-  std::vector<std::uint64_t> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Named scalar metric registry. Components register counters by
-/// dotted path ("hmc.vault3.bank_conflicts"); reporters snapshot the map.
-class StatsRegistry {
- public:
-  std::uint64_t& counter(const std::string& name) { return counters_[name]; }
-  Accumulator& accumulator(const std::string& name) { return accs_[name]; }
-
-  [[nodiscard]] std::uint64_t counter_or_zero(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, Accumulator>& accumulators()
-      const {
-    return accs_;
-  }
-
-  void reset() {
-    counters_.clear();
-    accs_.clear();
-  }
-
-  /// Render all metrics as "name value" lines (sorted), for debugging dumps.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, Accumulator> accs_;
 };
 
 }  // namespace hmcc

@@ -68,8 +68,6 @@ class AddressMap {
     return addr;
   }
 
-  [[nodiscard]] unsigned block_bits() const noexcept { return block_bits_; }
-
  private:
   unsigned block_bits_;
   unsigned vault_bits_;

@@ -43,19 +43,6 @@ class Bank {
     return !cfg_.closed_page && open_row_valid_ && open_row_ == row;
   }
 
-  /// Cycle the currently open row was activated (open-page bookkeeping for
-  /// the tRAS floor on the next precharge).
-  [[nodiscard]] Cycle open_row_activated_at() const noexcept {
-    return open_row_act_;
-  }
-
-  void reset() noexcept {
-    busy_until_ = 0;
-    open_row_valid_ = false;
-    open_row_act_ = 0;
-    activations_ = row_hits_ = conflicts_ = 0;
-  }
-
  private:
   HmcConfig cfg_;  // by value: banks must not dangle if the source config dies
   Cycle busy_until_ = 0;

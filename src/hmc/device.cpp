@@ -199,25 +199,6 @@ HmcStats HmcDevice::stats() const {
   return s;
 }
 
-void HmcDevice::reset_stats() {
-  wire_ = HmcStats{};
-  for (Vault& v : vaults_) v.reset();
-  for (Link& l : links_) l.reset();
-  std::fill(noc_req_ports_.begin(), noc_req_ports_.end(), 0);
-  std::fill(noc_resp_ports_.begin(), noc_resp_ports_.end(), 0);
-  noc_hops_ = 0;
-  noc_contended_ = 0;
-  next_host_link_ = 0;
-  // Deferred drains: queued entries were cleared with their vaults, so
-  // invalidate any armed drain events and drop their response contexts.
-  for (std::uint32_t v = 0; v < cfg_.num_vaults; ++v) {
-    ++drain_gen_[v];
-    drain_armed_[v] = 0;
-  }
-  pending_.clear();
-  free_ctx_.clear();
-}
-
 void HmcDevice::set_trace(obs::TraceWriter* trace) noexcept {
   trace_ = trace;
   for (Vault& v : vaults_) v.set_trace(trace);

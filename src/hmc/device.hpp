@@ -95,8 +95,6 @@ class HmcDevice {
     return vault_depth_[vault];
   }
 
-  void reset_stats();
-
   /// Attach a chrome-trace writer (nullptr detaches); forwarded to every
   /// vault, which emit per-bank row-buffer spans (row_open / row_hit /
   /// row_conflict) while attached.

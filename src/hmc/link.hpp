@@ -41,17 +41,6 @@ class Link {
   [[nodiscard]] std::uint64_t response_flits_sent() const noexcept {
     return resp_flits_;
   }
-  [[nodiscard]] Cycle request_channel_free() const noexcept {
-    return req_free_;
-  }
-  [[nodiscard]] Cycle response_channel_free() const noexcept {
-    return resp_free_;
-  }
-
-  void reset() noexcept {
-    req_free_ = resp_free_ = 0;
-    req_flits_ = resp_flits_ = 0;
-  }
 
  private:
   HmcConfig cfg_;  // by value: see Bank

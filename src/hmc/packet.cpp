@@ -26,24 +26,4 @@ std::uint32_t round_up_request_size(std::uint32_t bytes) noexcept {
   return hmcspec::kMaxRequestBytes;
 }
 
-std::uint64_t encode_header(const WireHeader& h) noexcept {
-  std::uint64_t raw = 0;
-  raw |= (static_cast<std::uint64_t>(h.cub) & low_mask(3)) << 61;
-  raw |= (h.adrs & low_mask(34)) << 24;
-  raw |= (static_cast<std::uint64_t>(h.tag) & low_mask(9)) << 15;
-  raw |= (static_cast<std::uint64_t>(h.lng) & low_mask(4)) << 11;
-  raw |= static_cast<std::uint64_t>(h.cmd) & low_mask(7);
-  return raw;
-}
-
-WireHeader decode_header(std::uint64_t raw) noexcept {
-  WireHeader h{};
-  h.cub = static_cast<std::uint8_t>(bits(raw, 61, 3));
-  h.adrs = bits(raw, 24, 34);
-  h.tag = static_cast<std::uint16_t>(bits(raw, 15, 9));
-  h.lng = static_cast<std::uint8_t>(bits(raw, 11, 4));
-  h.cmd = static_cast<std::uint8_t>(bits(raw, 0, 7));
-  return h;
-}
-
 }  // namespace hmcc::hmc

@@ -80,20 +80,6 @@ struct ResponsePacket {
   }
 };
 
-/// Wire-format header/tail encoding (HMC 2.1 layout: CUB[63:61],
-/// ADRS[57:24], TAG[23:15], LNG[14:11], DLN[10:7], CMD[6:0]).  Used to
-/// validate the packet layer; the simulator itself passes structs around.
-struct WireHeader {
-  std::uint8_t cub;    ///< cube id, 3 bits
-  std::uint64_t adrs;  ///< byte address, 34 bits
-  std::uint16_t tag;   ///< 9 bits
-  std::uint8_t lng;    ///< packet length in FLITs, 4 bits (256 B uses 0 per 2.1 \"LNG=0 means 16\" convention here)
-  std::uint8_t cmd;    ///< 7 bits
-};
-
-[[nodiscard]] std::uint64_t encode_header(const WireHeader& h) noexcept;
-[[nodiscard]] WireHeader decode_header(std::uint64_t raw) noexcept;
-
 /// Analytic bandwidth efficiency of a request of @p data_bytes (Figure 1):
 /// requested / transferred for a full read transaction.
 [[nodiscard]] constexpr double bandwidth_efficiency(

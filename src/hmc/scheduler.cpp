@@ -144,7 +144,6 @@ class BatchScheduler final : public VaultScheduler {
   [[nodiscard]] SchedPolicy policy() const noexcept override {
     return SchedPolicy::kBatch;
   }
-  void reset() override { batch_end_ = 0; }
 
  private:
   std::uint64_t batch_end_ = 0;  ///< orders below this form the current batch

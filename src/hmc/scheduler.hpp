@@ -75,9 +75,6 @@ class VaultScheduler {
                          const BankView& view) = 0;
 
   [[nodiscard]] virtual SchedPolicy policy() const noexcept = 0;
-
-  /// Forget cross-pick state (batch boundaries); called on Vault::reset.
-  virtual void reset() {}
 };
 
 /// Factory for the policy selected by @p cfg.sched.

@@ -96,15 +96,4 @@ std::uint64_t Vault::row_hits() const noexcept {
   return total;
 }
 
-void Vault::reset() {
-  for (Bank& b : banks_) b.reset();
-  queue_.clear();
-  scheduler_->reset();
-  next_order_ = 0;
-  ctrl_free_ = 0;
-  served_ = 0;
-  sched_row_hits_ = 0;
-  sched_starved_ = 0;
-}
-
 }  // namespace hmcc::hmc

@@ -103,8 +103,6 @@ class Vault {
   /// is one pointer test per access.
   void set_trace(obs::TraceWriter* trace) noexcept { trace_ = trace; }
 
-  void reset();
-
  private:
   /// Occupy the controller pipeline and dispatch @p r to its bank; the one
   /// place service timing is computed, shared by both drain paths.

@@ -149,11 +149,6 @@ bool wants_keep_alive(const HttpRequest& req) {
   return req.minor_version >= 1;
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
 }  // namespace
 
 const std::string* HttpRequest::header(

@@ -62,12 +62,6 @@ json::Value snapshot_to_json(const system::JobSnapshot& snap) {
   if (snap.state == system::JobState::kDone) {
     o.emplace_back("text", snap.output.text);
     o.emplace_back("csv", snap.output.csv);
-    if (!snap.output.preamble.empty()) {
-      o.emplace_back("preamble", snap.output.preamble);
-    }
-    if (!snap.output.epilogue.empty()) {
-      o.emplace_back("epilogue", snap.output.epilogue);
-    }
   }
   if (!snap.error.empty()) o.emplace_back("error", snap.error);
   return o;

@@ -75,13 +75,6 @@ enum class JobState {
 struct JobOutput {
   std::string text;
   std::string csv;
-  /// The bench's preamble/epilogue portions of `text`, duplicated as their
-  /// own fields so remote drivers (bench_suite --fleet) can re-emit output
-  /// in the exact stdout order the local drivers use: preamble, header,
-  /// table, CSV-written line, blank line, THEN epilogue. Empty for benches
-  /// without the respective hook.
-  std::string preamble;
-  std::string epilogue;
 };
 
 /// Shared progress cell: written by the job thread (via JobContext), read

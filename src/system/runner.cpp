@@ -62,13 +62,4 @@ RunResult run_workload(const std::string& workload, SystemConfig cfg,
   return r;
 }
 
-std::vector<RunResult> run_all_workloads(
-    SystemConfig cfg, const workloads::WorkloadParams& params) {
-  std::vector<RunResult> results;
-  for (const std::string& name : workloads::workload_names()) {
-    results.push_back(run_workload(name, cfg, params));
-  }
-  return results;
-}
-
 }  // namespace hmcc::system

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "system/system.hpp"
 #include "workloads/workload.hpp"
@@ -30,9 +29,5 @@ struct RunResult {
 [[nodiscard]] RunResult run_workload(const std::string& workload,
                                      SystemConfig cfg,
                                      const workloads::WorkloadParams& params);
-
-/// Run every paper workload under @p cfg.
-[[nodiscard]] std::vector<RunResult> run_all_workloads(
-    SystemConfig cfg, const workloads::WorkloadParams& params);
 
 }  // namespace hmcc::system

@@ -126,14 +126,6 @@ struct Reader {
     }
     return true;
   }
-  [[nodiscard]] bool u64(std::uint64_t& v) {
-    if (!ensure(8)) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-    }
-    return true;
-  }
   [[nodiscard]] CodecStatus varint(std::uint64_t& v) {
     v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
@@ -248,52 +240,6 @@ CodecResult decode_v2(Reader& r, MultiTrace& out) {
   return {};
 }
 
-/// Legacy flat layout written by trace::save() (version 1): u64 stream
-/// count, then per stream a u64 record count and 16-byte records
-/// (addr u64 | size u32 | flags u32: bit0 store, bit1 fence, bit2 barrier).
-CodecResult decode_v1(Reader& r, MultiTrace& out) {
-  std::uint64_t streams = 0;
-  if (!r.u64(streams)) return fail(CodecStatus::kTruncated, "stream count");
-  if (streams > kMaxStreams) {
-    return fail(CodecStatus::kTooManyCores, std::to_string(streams) + " streams");
-  }
-  out.per_core.assign(streams, {});
-  for (std::uint64_t si = 0; si < streams; ++si) {
-    auto& stream = out.per_core[si];
-    std::uint64_t count = 0;
-    if (!r.u64(count)) {
-      return fail(CodecStatus::kTruncated, at_stream(si, "record count"));
-    }
-    // v1 records are exactly 16 bytes, so the count check is exact.
-    if (count > r.remaining() / 16) {
-      return fail(CodecStatus::kAbsurdCount,
-                  at_stream(si, "more records than bytes remain"));
-    }
-    stream.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t addr = 0;
-      std::uint32_t size = 0;
-      std::uint32_t flags = 0;
-      if (!r.u64(addr) || !r.u32(size) || !r.u32(flags)) {
-        return fail(CodecStatus::kTruncated, at_stream(si, "record"));
-      }
-      if ((flags & ~7u) != 0 || (flags & 6u) == 6u) {
-        return fail(CodecStatus::kBadRecord,
-                    at_stream(si, "unknown or conflicting record flags"));
-      }
-      if (flags & 2u) {
-        stream.push_back(TraceRecord::make_fence());
-      } else if (flags & 4u) {
-        stream.push_back(TraceRecord::make_barrier());
-      } else {
-        stream.push_back((flags & 1u) ? TraceRecord::store(addr, size)
-                                      : TraceRecord::load(addr, size));
-      }
-    }
-  }
-  return {};
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode(const MultiTrace& trace) {
@@ -345,7 +291,7 @@ std::vector<std::uint8_t> encode(const MultiTrace& trace) {
 
 namespace {
 
-/// Header dispatch shared by the memory and streaming entry points: the
+/// Header check shared by the memory and streaming entry points: the
 /// Reader abstracts where bytes come from, so both paths run the exact
 /// same validation with the exact same failure strings.
 CodecResult decode_reader(Reader& r, MultiTrace& out) {
@@ -355,14 +301,10 @@ CodecResult decode_reader(Reader& r, MultiTrace& out) {
   if (!r.u32(magic)) return fail(CodecStatus::kTruncated, "magic");
   if (magic != kHmctMagic) return fail(CodecStatus::kBadMagic, "not an .hmct file");
   if (!r.u32(version)) return fail(CodecStatus::kTruncated, "version");
-  CodecResult res;
-  switch (version) {
-    case 1: res = decode_v1(r, out); break;
-    case kHmctVersion: res = decode_v2(r, out); break;
-    default:
-      return fail(CodecStatus::kBadVersion,
-                  "version " + std::to_string(version));
+  if (version != kHmctVersion) {
+    return fail(CodecStatus::kBadVersion, "version " + std::to_string(version));
   }
+  CodecResult res = decode_v2(r, out);
   if (!res.ok()) out.per_core.clear();
   return res;
 }

@@ -4,12 +4,12 @@
 // once and replayed byte-identically — locally via `trace_replay=PATH` or
 // shipped to the daemon as a job payload. The format is built for corpus
 // storage: varint delta-encoded addresses and run-length-grouped records
-// compress the regular streams our generators emit by ~5-10x versus the
-// flat v1 layout, while staying trivially seekable per stream.
+// compress the regular streams our generators emit by ~5-10x versus a flat
+// 16-byte-per-record layout, while staying trivially seekable per stream.
 //
 // On-disk layout (all multi-byte primitives are LEB128 varints unless
-// noted; the magic/version pair is fixed-width little-endian so v1 files
-// and foreign files are recognizable before any varint decoding):
+// noted; the magic/version pair is fixed-width little-endian so other
+// versions and foreign files are recognizable before any varint decoding):
 //
 //   u32  magic    0x484D4354 ("HMCT")
 //   u32  version  2
@@ -77,11 +77,10 @@ struct CodecResult {
 /// Serialize to the v2 byte layout above. Never fails.
 [[nodiscard]] std::vector<std::uint8_t> encode(const MultiTrace& trace);
 
-/// Parse an .hmct byte buffer into `out`. Accepts both version 2 and the
-/// legacy flat version 1 layout (so traces saved by older builds replay
-/// unchanged). On failure `out` is left empty and the result names the
-/// offending construct; allocation is bounded by the input size, so a
-/// malformed buffer can never OOM the process.
+/// Parse an .hmct byte buffer into `out`. Only version 2 is accepted; any
+/// other version fails with kBadVersion. On failure `out` is left empty and
+/// the result names the offending construct; allocation is bounded by the
+/// input size, so a malformed buffer can never OOM the process.
 [[nodiscard]] CodecResult decode(const std::uint8_t* data, std::size_t size,
                                  MultiTrace& out);
 [[nodiscard]] CodecResult decode(const std::vector<std::uint8_t>& bytes,

@@ -1,7 +1,5 @@
 #include "trace/trace.hpp"
 
-#include <cstdio>
-#include <memory>
 #include <unordered_set>
 
 #include "common/bits.hpp"
@@ -43,93 +41,6 @@ TraceProfile profile(const MultiTrace& trace) {
                                     static_cast<double>(ops)
                               : 0.0;
   return p;
-}
-
-namespace {
-constexpr std::uint32_t kMagic = 0x484D4354;  // "HMCT"
-constexpr std::uint32_t kVersion = 1;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-bool write_u32(std::FILE* f, std::uint32_t v) {
-  return std::fwrite(&v, sizeof v, 1, f) == 1;
-}
-bool write_u64(std::FILE* f, std::uint64_t v) {
-  return std::fwrite(&v, sizeof v, 1, f) == 1;
-}
-bool read_u32(std::FILE* f, std::uint32_t& v) {
-  return std::fread(&v, sizeof v, 1, f) == 1;
-}
-bool read_u64(std::FILE* f, std::uint64_t& v) {
-  return std::fread(&v, sizeof v, 1, f) == 1;
-}
-}  // namespace
-
-bool save(const MultiTrace& trace, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return false;
-  if (!write_u32(f.get(), kMagic) || !write_u32(f.get(), kVersion) ||
-      !write_u64(f.get(), trace.per_core.size())) {
-    return false;
-  }
-  for (const auto& stream : trace.per_core) {
-    if (!write_u64(f.get(), stream.size())) return false;
-    for (const TraceRecord& r : stream) {
-      // Packed record: addr(8) | size(4) | flags(4: bit0 store, bit1 fence,
-      // bit2 barrier).
-      std::uint32_t flags = 0;
-      if (r.type == ReqType::kStore) flags |= 1;
-      if (r.is_fence()) flags |= 2;
-      if (r.is_barrier()) flags |= 4;
-      if (!write_u64(f.get(), r.addr) || !write_u32(f.get(), r.size) ||
-          !write_u32(f.get(), flags)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool load(MultiTrace& trace, const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return false;
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint64_t cores = 0;
-  if (!read_u32(f.get(), magic) || magic != kMagic) return false;
-  if (!read_u32(f.get(), version) || version != kVersion) return false;
-  if (!read_u64(f.get(), cores) || cores > 4096) return false;
-  trace.per_core.assign(cores, {});
-  for (auto& stream : trace.per_core) {
-    std::uint64_t count = 0;
-    if (!read_u64(f.get(), count)) return false;
-    stream.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t addr = 0;
-      std::uint32_t size = 0;
-      std::uint32_t flags = 0;
-      if (!read_u64(f.get(), addr) || !read_u32(f.get(), size) ||
-          !read_u32(f.get(), flags)) {
-        return false;
-      }
-      TraceRecord r{};
-      r.addr = addr;
-      r.size = size;
-      r.type = (flags & 1) ? ReqType::kStore : ReqType::kLoad;
-      if ((flags & 2) != 0) {
-        r = TraceRecord::make_fence();
-      } else if ((flags & 4) != 0) {
-        r = TraceRecord::make_barrier();
-      }
-      stream.push_back(r);
-    }
-  }
-  return true;
 }
 
 }  // namespace hmcc::trace

@@ -9,7 +9,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -122,10 +121,5 @@ struct TraceProfile {
 };
 
 [[nodiscard]] TraceProfile profile(const MultiTrace& trace);
-
-/// Binary save/load (little-endian, versioned header). Returns false on I/O
-/// or format errors.
-bool save(const MultiTrace& trace, const std::string& path);
-bool load(MultiTrace& trace, const std::string& path);
 
 }  // namespace hmcc::trace

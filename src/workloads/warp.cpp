@@ -333,14 +333,6 @@ const std::vector<desc::Knob<WarpParams>>& warp_knobs() {
   return table;
 }
 
-std::vector<desc::KnobMeta> warp_knob_metadata() {
-  return desc::knob_metadata(warp_knobs());
-}
-
-std::vector<std::string> warp_cli_keys() {
-  return desc::knob_keys(warp_knobs());
-}
-
 WarpParams warp_params_from_cli(const Config& cli) {
   WarpParams w;
   for (const desc::Knob<WarpParams>& k : warp_knobs()) {

@@ -56,8 +56,6 @@ struct WarpRun {
 /// BenchEnv so the suite, daemon metadata and typo warnings pick them up
 /// automatically; the workbench applies them via warp_params_from_cli().
 [[nodiscard]] const std::vector<desc::Knob<WarpParams>>& warp_knobs();
-[[nodiscard]] std::vector<desc::KnobMeta> warp_knob_metadata();
-[[nodiscard]] std::vector<std::string> warp_cli_keys();
 
 /// Apply any warp knobs present in @p cli over the defaults. Throws
 /// std::invalid_argument naming the knob on a malformed value.

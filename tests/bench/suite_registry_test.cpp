@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "suite/service_adapter.hpp"
@@ -108,30 +109,36 @@ system::JobOutput run_via_service(const SuiteBench& bench,
 }
 
 TEST(SuiteRegistry, ServiceDriverMatchesStandaloneByteForByte) {
-  // fig08 is a real sweep bench with no epilogue, so the standalone stdout
-  // differs from the in-memory payload only by emit()'s trailing blank line.
-  const SuiteBench* bench = find_bench("fig08");
-  ASSERT_NE(bench, nullptr);
-  ASSERT_FALSE(static_cast<bool>(bench->epilogue));
+  // Neither bench has an epilogue, so the standalone stdout differs from the
+  // in-memory payload only by emit()'s trailing blank line. fig08 is a plain
+  // sweep bench; ablation_pipeline also prints a preamble before its header.
+  for (const auto& [name, has_preamble] :
+       {std::pair{"fig08", false}, std::pair{"ablation_pipeline", true}}) {
+    SCOPED_TRACE(name);
+    const SuiteBench* bench = find_bench(name);
+    ASSERT_NE(bench, nullptr);
+    ASSERT_EQ(static_cast<bool>(bench->preamble), has_preamble);
+    ASSERT_FALSE(static_cast<bool>(bench->epilogue));
 
-  std::vector<std::string> args = {"bench", kSmokeAccesses, "seed=2", "csv=",
-                                   "threads=1"};
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  testing::internal::CaptureStdout();
-  ASSERT_EQ(run_standalone(*bench, static_cast<int>(argv.size()),
-                           argv.data()),
-            0);
-  const std::string standalone = testing::internal::GetCapturedStdout();
+    std::vector<std::string> args = {"bench", kSmokeAccesses, "seed=2",
+                                     "csv=", "threads=1"};
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    testing::internal::CaptureStdout();
+    ASSERT_EQ(run_standalone(*bench, static_cast<int>(argv.size()),
+                             argv.data()),
+              0);
+    const std::string standalone = testing::internal::GetCapturedStdout();
 
-  Config overrides;
-  overrides.set("accesses", "400");
-  overrides.set("seed", "2");
-  const system::JobOutput job = run_via_service(*bench, overrides);
+    Config overrides;
+    overrides.set("accesses", "400");
+    overrides.set("seed", "2");
+    const system::JobOutput job = run_via_service(*bench, overrides);
 
-  EXPECT_EQ(job.text + "\n", standalone);
-  EXPECT_FALSE(job.csv.empty());
-  EXPECT_NE(job.csv.find('\n'), std::string::npos);
+    EXPECT_EQ(job.text + "\n", standalone);
+    EXPECT_FALSE(job.csv.empty());
+    EXPECT_NE(job.csv.find('\n'), std::string::npos);
+  }
 }
 
 TEST(SuiteRegistry, ServiceJobCapturesEpilogueInPayload) {

@@ -142,14 +142,5 @@ TEST(Hierarchy, PooledWritebackVectorsAreIdentityPreserving) {
   EXPECT_GT(reused, 0);
 }
 
-TEST(Hierarchy, ResetRestoresColdState) {
-  Hierarchy h(tiny_cfg());
-  h.access(0, 0x1000, ReqType::kLoad);
-  h.fill_llc(0x1000, false);
-  h.reset();
-  EXPECT_FALSE(h.llc_contains(0x1000));
-  EXPECT_EQ(h.access(0, 0x1000, ReqType::kLoad).level, HitLevel::kMemory);
-}
-
 }  // namespace
 }  // namespace hmcc::cache

@@ -57,41 +57,5 @@ TEST(Accumulator, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h({16, 32, 64, 128, 256});
-  h.add(16);   // bucket 0 (<=16)
-  h.add(17);   // bucket 1
-  h.add(256);  // bucket 4
-  h.add(300);  // overflow bucket 5
-  h.add(1);    // bucket 0
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[1], 1u);
-  EXPECT_EQ(h.counts()[4], 1u);
-  EXPECT_EQ(h.counts()[5], 1u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h({10});
-  h.add(5, 7);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.counts()[0], 7u);
-}
-
-TEST(StatsRegistry, CountersAndDump) {
-  StatsRegistry reg;
-  reg.counter("a.b") += 3;
-  reg.counter("a.b") += 2;
-  reg.accumulator("lat").add(10.0);
-  EXPECT_EQ(reg.counter_or_zero("a.b"), 5u);
-  EXPECT_EQ(reg.counter_or_zero("missing"), 0u);
-  const std::string dump = reg.to_string();
-  EXPECT_NE(dump.find("a.b 5"), std::string::npos);
-  EXPECT_NE(dump.find("lat.mean 10"), std::string::npos);
-  reg.reset();
-  EXPECT_EQ(reg.counter_or_zero("a.b"), 0u);
-}
-
 }  // namespace
 }  // namespace hmcc

@@ -145,16 +145,5 @@ TEST(Bank, OneCoalescedReadBeatsSixteenSmall) {
   EXPECT_LT(one * 4, t);
 }
 
-TEST(Bank, ResetClearsState) {
-  const HmcConfig cfg = cfg_open();
-  Bank bank(cfg);
-  bank.access(1, 64, 0);
-  bank.reset();
-  EXPECT_EQ(bank.activations(), 0u);
-  EXPECT_EQ(bank.busy_until(), 0u);
-  const BankAccessResult r = bank.access(1, 64, 0);
-  EXPECT_FALSE(r.row_hit);  // open row was forgotten
-}
-
 }  // namespace
 }  // namespace hmcc::hmc

@@ -145,17 +145,5 @@ TEST(HmcDevice, ResponsesOfEqualPacketsAreFifoPerVault) {
   EXPECT_EQ(order, (std::vector<ReqId>{0, 1, 2, 3}));
 }
 
-TEST(HmcDevice, ResetStatsZeroesWire) {
-  Kernel kernel;
-  HmcDevice dev(kernel, HmcConfig{});
-  dev.submit(make_read(1, 0, 64), [](const ResponsePacket&) {});
-  kernel.run();
-  dev.reset_stats();
-  const HmcStats s = dev.stats();
-  EXPECT_EQ(s.reads, 0u);
-  EXPECT_EQ(s.transferred_bytes, 0u);
-  EXPECT_EQ(s.row_activations, 0u);
-}
-
 }  // namespace
 }  // namespace hmcc::hmc

@@ -100,31 +100,5 @@ TEST(Packet, CoalescingGainMatchesPaperNumbers) {
   EXPECT_EQ(16 * small.control_bytes() / big.control_bytes(), 16u);
 }
 
-TEST(Packet, WireHeaderRoundTrip) {
-  WireHeader h{};
-  h.cub = 5;
-  h.adrs = 0x3'FFFF'FFFAULL;  // 34 bits
-  h.tag = 0x1AB;
-  h.lng = 9;
-  h.cmd = 0x77;
-  const WireHeader back = decode_header(encode_header(h));
-  EXPECT_EQ(back.cub, h.cub);
-  EXPECT_EQ(back.adrs, h.adrs);
-  EXPECT_EQ(back.tag, h.tag);
-  EXPECT_EQ(back.lng, h.lng);
-  EXPECT_EQ(back.cmd, h.cmd);
-}
-
-TEST(Packet, WireHeaderFieldMasking) {
-  WireHeader h{};
-  h.cub = 0xFF;         // only 3 bits survive
-  h.tag = 0xFFFF;       // only 9 bits survive
-  h.cmd = 0xFF;         // only 7 bits survive
-  const WireHeader back = decode_header(encode_header(h));
-  EXPECT_EQ(back.cub, 7);
-  EXPECT_EQ(back.tag, 0x1FF);
-  EXPECT_EQ(back.cmd, 0x7F);
-}
-
 }  // namespace
 }  // namespace hmcc::hmc

@@ -39,19 +39,6 @@ TEST(Vault, SameBankSerializesWithConflict) {
   EXPECT_EQ(v.row_activations(), 2u);
 }
 
-TEST(Vault, ResetRestoresIdle) {
-  Vault v(cfg(), 1);
-  v.serve(at(1, 0, 0), 64, 0);
-  v.reset();
-  EXPECT_EQ(v.requests_served(), 0u);
-  EXPECT_EQ(v.bank_conflicts(), 0u);
-  const auto r = v.serve(at(1, 0, 0), 64, 0);
-  EXPECT_EQ(r.data_ready, cfg().vault_ctrl_latency + cfg().t_rcd +
-                              cfg().t_cl + 2 * cfg().t_column_burst)
-      << "timing should match a cold vault";
-  EXPECT_FALSE(r.bank_conflict);
-}
-
 TEST(Link, SerializesFlits) {
   const HmcConfig c = cfg();
   Link link(c);
@@ -79,14 +66,6 @@ TEST(Link, IdleChannelStartsImmediately) {
   // After the channel drains, a later packet starts at its arrival time.
   const Cycle done = link.send_request(1, 1000);
   EXPECT_EQ(done, 1000 + cfg().cycles_per_flit);
-}
-
-TEST(Link, ResetClearsCountsAndTime) {
-  Link link(cfg());
-  link.send_request(8, 0);
-  link.reset();
-  EXPECT_EQ(link.request_flits_sent(), 0u);
-  EXPECT_EQ(link.send_request(1, 0), cfg().cycles_per_flit);
 }
 
 }  // namespace

@@ -18,8 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/http_client.hpp"
-
 namespace hmcc::service {
 namespace {
 
@@ -381,34 +379,6 @@ TEST(HttpServerConcurrency, InlineWorkersStillServeConcurrentConnections) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(ok.load(), 8);
-}
-
-// ---------------------------------------------------------------------------
-// HttpClient (the fleet's wire client) against the real server.
-
-TEST(HttpClientTest, ReusesOneConnectionAcrossRequests) {
-  ServerFixture fx;
-  HttpClient client("127.0.0.1", fx.port());
-  const auto a = client.get("/first");
-  EXPECT_EQ(a.status, 200);
-  EXPECT_EQ(a.body, "GET /first|");
-  const auto b = client.post("/second", "data");
-  EXPECT_EQ(b.status, 200);
-  EXPECT_EQ(b.body, "POST /second|data");
-  EXPECT_EQ(client.connects(), 1u);
-  EXPECT_EQ(fx.server.stats().keepalive_reuses, 1u);
-}
-
-TEST(HttpClientTest, ReconnectsWhenServerClosedTheIdleConnection) {
-  HttpServer::Options opts;
-  opts.idle_timeout_ms = 50;
-  ServerFixture fx(opts);
-  HttpClient client("127.0.0.1", fx.port());
-  EXPECT_EQ(client.get("/a").status, 200);
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  // The cached connection is dead; request() must transparently redial.
-  EXPECT_EQ(client.get("/b").status, 200);
-  EXPECT_EQ(client.connects(), 2u);
 }
 
 }  // namespace

@@ -51,43 +51,6 @@ TEST(TraceProfile, CountsAndFootprint) {
   EXPECT_DOUBLE_EQ(p.store_fraction(), 0.25);
 }
 
-TEST(TraceIo, SaveLoadRoundTrip) {
-  MultiTrace mt;
-  mt.per_core.resize(3);
-  mt.per_core[0] = {TraceRecord::load(0xDEADBEEF, 8),
-                    TraceRecord::store(0x1234, 2),
-                    TraceRecord::make_fence()};
-  mt.per_core[1] = {};
-  mt.per_core[2] = {TraceRecord::make_barrier(),
-                    TraceRecord::load(42, 1)};
-
-  const std::string path = ::testing::TempDir() + "/hmcc_trace_test.bin";
-  ASSERT_TRUE(save(mt, path));
-
-  MultiTrace back;
-  ASSERT_TRUE(load(back, path));
-  ASSERT_EQ(back.per_core.size(), 3u);
-  ASSERT_EQ(back.per_core[0].size(), 3u);
-  EXPECT_EQ(back.per_core[0][0].addr, 0xDEADBEEFu);
-  EXPECT_EQ(back.per_core[0][1].type, ReqType::kStore);
-  EXPECT_EQ(back.per_core[0][1].size, 2u);
-  EXPECT_TRUE(back.per_core[0][2].is_fence());
-  EXPECT_TRUE(back.per_core[1].empty());
-  EXPECT_TRUE(back.per_core[2][0].is_barrier());
-  EXPECT_EQ(back.per_core[2][1].size, 1u);
-}
-
-TEST(TraceIo, RejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/hmcc_trace_bad.bin";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a trace", f);
-  std::fclose(f);
-  MultiTrace mt;
-  EXPECT_FALSE(load(mt, path));
-  EXPECT_FALSE(load(mt, "/nonexistent/path/xyz.bin"));
-}
-
 TEST(MultiTrace, TotalsAcrossCores) {
   MultiTrace mt;
   mt.per_core.resize(4);

@@ -149,11 +149,11 @@ TEST(WarpWorkloads, MlpBoundChangesTheInterleave) {
 TEST(WarpKnobs, TableCoversTheAdvertisedKeys) {
   const std::vector<std::string> expected = {"warps", "warp_width", "lanes",
                                              "max_outstanding_warps"};
-  EXPECT_EQ(warp_cli_keys(), expected);
-  for (const auto& meta : warp_knob_metadata()) {
-    EXPECT_EQ(meta.scope, "bench");
-    EXPECT_FALSE(meta.help.empty());
-    EXPECT_FALSE(meta.default_value.empty());
+  EXPECT_EQ(desc::knob_keys(warp_knobs()), expected);
+  for (const auto& knob : warp_knobs()) {
+    EXPECT_EQ(knob.meta.scope, "bench");
+    EXPECT_FALSE(knob.meta.help.empty());
+    EXPECT_FALSE(knob.meta.default_value.empty());
   }
 }
 
