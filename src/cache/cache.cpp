@@ -8,21 +8,15 @@ Cache::Cache(const CacheConfig& cfg)
     : cfg_(cfg),
       line_bits_(log2_floor(cfg.line_bytes)),
       num_sets_(cfg.num_sets()),
-      lines_(static_cast<std::size_t>(cfg.num_sets()) * cfg.ways),
-      policy_(make_policy(cfg.replacement, cfg.num_sets(), cfg.ways)) {
+      lines_(static_cast<std::size_t>(cfg.num_sets()) * cfg.ways) {
   assert(cfg.valid());
 }
 
-Cache::Line* Cache::find(Addr addr, std::uint32_t* way_out) {
-  const std::uint32_t set = set_index(addr);
+Cache::Line* Cache::find(Addr addr) {
   const Addr tag = tag_of(addr);
-  const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
+  Line* set = set_of(addr);
   for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& line = lines_[base + w];
-    if (line.valid && line.tag == tag) {
-      if (way_out) *way_out = w;
-      return &line;
-    }
+    if (set[w].valid && set[w].tag == tag) return &set[w];
   }
   return nullptr;
 }
@@ -34,11 +28,10 @@ const Cache::Line* Cache::find(Addr addr) const {
 bool Cache::probe(Addr addr) const { return find(addr) != nullptr; }
 
 Cache::LookupResult Cache::lookup(Addr addr, bool is_store) {
-  std::uint32_t way = 0;
-  if (Line* line = find(addr, &way)) {
+  if (Line* line = find(addr)) {
     ++stats_.hits;
     if (is_store) line->dirty = true;
-    policy_->touch(set_index(addr), way);
+    line->stamp = ++clock_;
     return {true, std::nullopt};
   }
   ++stats_.misses;
@@ -54,42 +47,40 @@ Cache::LookupResult Cache::access(Addr addr, bool is_store) {
 }
 
 std::optional<Addr> Cache::fill(Addr addr, bool dirty) {
-  const std::uint32_t set = set_index(addr);
-  const Addr tag = tag_of(addr);
-  const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
-
   // Refill of a line that is already present (e.g. racing fills) just
   // updates state.
-  std::uint32_t way = 0;
-  if (Line* line = find(addr, &way)) {
+  if (Line* line = find(addr)) {
     line->dirty = line->dirty || dirty;
-    policy_->touch(set, way);
+    line->stamp = ++clock_;
     return std::nullopt;
   }
 
-  // Prefer an invalid way.
-  std::uint32_t victim_way = cfg_.ways;
+  // Prefer an invalid way; otherwise evict the least recently touched one
+  // (the lowest way on a tie).
+  Line* set = set_of(addr);
+  Line* victim = nullptr;
   for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    if (!lines_[base + w].valid) {
-      victim_way = w;
+    if (!set[w].valid) {
+      victim = &set[w];
       break;
     }
   }
   std::optional<Addr> writeback;
-  if (victim_way == cfg_.ways) {
-    victim_way = policy_->victim(set);
-    Line& victim = lines_[base + victim_way];
+  if (victim == nullptr) {
+    victim = &set[0];
+    for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
+      if (set[w].stamp < victim->stamp) victim = &set[w];
+    }
     ++stats_.evictions;
-    if (victim.dirty) {
+    if (victim->dirty) {
       ++stats_.writebacks;
-      writeback = victim.tag << line_bits_;
+      writeback = victim->tag << line_bits_;
     }
   }
-  Line& line = lines_[base + victim_way];
-  line.tag = tag;
-  line.valid = true;
-  line.dirty = dirty;
-  policy_->touch(set, victim_way);
+  victim->tag = tag_of(addr);
+  victim->valid = true;
+  victim->dirty = dirty;
+  victim->stamp = ++clock_;
   return writeback;
 }
 

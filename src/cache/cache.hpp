@@ -1,4 +1,5 @@
-// Set-associative write-back, write-allocate cache array.
+// Set-associative write-back, write-allocate cache array with true LRU
+// replacement.
 //
 // The array is functional (tags + dirty bits, no data storage: payload data
 // lives in the functional memory model); timing is assigned by the hierarchy
@@ -8,12 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "cache/config.hpp"
-#include "cache/replacement.hpp"
 #include "common/bits.hpp"
 #include "common/types.hpp"
 
@@ -65,6 +64,7 @@ class Cache {
  private:
   struct Line {
     Addr tag = 0;
+    std::uint64_t stamp = 0;  ///< recency: clock_ at the last touch
     bool valid = false;
     bool dirty = false;
   };
@@ -75,14 +75,19 @@ class Cache {
   [[nodiscard]] Addr tag_of(Addr addr) const noexcept {
     return addr >> line_bits_;
   }
-  [[nodiscard]] Line* find(Addr addr, std::uint32_t* way_out = nullptr);
+  /// The ways of @p addr's set.
+  [[nodiscard]] Line* set_of(Addr addr) noexcept {
+    return lines_.data() +
+           static_cast<std::size_t>(set_index(addr)) * cfg_.ways;
+  }
+  [[nodiscard]] Line* find(Addr addr);
   [[nodiscard]] const Line* find(Addr addr) const;
 
   CacheConfig cfg_;
   unsigned line_bits_;
   std::uint32_t num_sets_;
   std::vector<Line> lines_;  ///< num_sets x ways, row-major
-  std::unique_ptr<ReplacementPolicy> policy_;
+  std::uint64_t clock_ = 0;  ///< touch counter behind Line::stamp
   CacheStats stats_;
 };
 

@@ -11,14 +11,11 @@
 
 namespace hmcc::cache {
 
-enum class ReplacementKind : std::uint8_t { kLru, kTreePlru, kRandom };
-
 struct CacheConfig {
   std::uint64_t size_bytes = 32 * 1024;
   std::uint32_t ways = 8;
   std::uint32_t line_bytes = arch::kLineSize;
   Cycle hit_latency = 4;
-  ReplacementKind replacement = ReplacementKind::kLru;
 
   [[nodiscard]] std::uint32_t num_sets() const noexcept {
     return static_cast<std::uint32_t>(size_bytes / line_bytes / ways);

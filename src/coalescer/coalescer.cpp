@@ -42,25 +42,12 @@ void MemoryCoalescer::submit(CoalescerRequest req) {
     return;
   }
 
-  if (!cfg_.enable_dmc) {
-    // Conventional MSHR path: no window, no sorting — each miss is a
-    // line-sized packet offered to the (dynamic) MSHR file directly.
-    CoalescedPacket pkt{};
-    pkt.addr = req.addr;
-    pkt.bytes = cfg_.line_bytes;
-    pkt.type = req.type;
-    pkt.ready_at = kernel_.now();
-    pkt.constituents.push_back(std::move(req));
-    std::vector<CoalescedPacket> one;
-    one.push_back(std::move(pkt));
-    enqueue_packets(std::move(one));
-    return;
-  }
-
-  if (bypass_active()) {
-    // §4.2: while the MSHRs have room and the CRQ is empty, raw requests
-    // skip the sorting pipeline entirely.
-    ++stats_.bypassed;
+  if (!cfg_.enable_dmc || bypass_active()) {
+    // No window, no sorting: the miss is a line-sized packet offered to the
+    // (dynamic) MSHR file directly. Without the DMC this is the
+    // conventional MSHR path; with it, the §4.2 bypass taken while the
+    // MSHRs have room and the CRQ is empty.
+    if (cfg_.enable_dmc) ++stats_.bypassed;
     CoalescedPacket pkt{};
     pkt.addr = req.addr;
     pkt.bytes = cfg_.line_bytes;

@@ -21,18 +21,18 @@ DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
              : coalesce_payload(sorted, start);
 }
 
-void DmcUnit::emit_line_run(
-    Addr first_line_addr, std::uint32_t count, ReqType type,
-    std::vector<std::vector<CoalescerRequest>>& line_groups, Cycle ready_at,
-    std::vector<CoalescedPacket>& out) const {
-  assert(count == line_groups.size());
-  const std::uint32_t line = cfg_.line_bytes;
+void packetize_line_run(const CoalescerConfig& cfg, Addr first_line_addr,
+                        std::span<std::vector<CoalescerRequest>> lines,
+                        ReqType type, Cycle ready_at,
+                        std::vector<CoalescedPacket>& out) {
+  const auto count = static_cast<std::uint32_t>(lines.size());
+  const std::uint32_t line = cfg.line_bytes;
   std::uint32_t emitted = 0;
   while (emitted < count) {
     // Largest power-of-two chunk of lines that still fits the run and the
     // maximum packet. (Runs never cross a block, so no boundary check.)
     std::uint32_t chunk = 1;
-    while (chunk * 2 <= std::min(count - emitted, cfg_.max_lines_per_packet())) {
+    while (chunk * 2 <= std::min(count - emitted, cfg.max_lines_per_packet())) {
       chunk *= 2;
     }
     CoalescedPacket pkt{};
@@ -41,7 +41,7 @@ void DmcUnit::emit_line_run(
     pkt.type = type;
     pkt.ready_at = ready_at;
     for (std::uint32_t i = 0; i < chunk; ++i) {
-      auto& group = line_groups[emitted + i];
+      auto& group = lines[emitted + i];
       pkt.constituents.insert(pkt.constituents.end(),
                               std::make_move_iterator(group.begin()),
                               std::make_move_iterator(group.end()));
@@ -98,8 +98,7 @@ DmcResult DmcUnit::coalesce_lines(std::span<const CoalescerRequest> sorted,
       t -= cfg_.tau;
       break;
     }
-    emit_line_run(run_base, static_cast<std::uint32_t>(groups.size()), type,
-                  groups, t, result.packets);
+    packetize_line_run(cfg_, run_base, groups, type, t, result.packets);
   }
   result.finished_at = t;
   return result;

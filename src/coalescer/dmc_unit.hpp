@@ -30,6 +30,17 @@ struct DmcResult {
   std::uint32_t merge_ops = 0;  ///< requests that passed the merge stage
 };
 
+/// The line-granularity packet rule of both coalescing phases (the DMC unit
+/// and the dynamic MSHRs' re-split): cut a run of lines.size() contiguous
+/// lines from @p first_line_addr, which must lie inside one max-packet
+/// block, into packets of the largest power-of-two line count that fits the
+/// rest of the run and the maximum packet, and append them to @p out.
+/// lines[i] holds the requests of line i; they move into the packets.
+void packetize_line_run(const CoalescerConfig& cfg, Addr first_line_addr,
+                        std::span<std::vector<CoalescerRequest>> lines,
+                        ReqType type, Cycle ready_at,
+                        std::vector<CoalescedPacket>& out);
+
 class DmcUnit {
  public:
   explicit DmcUnit(const CoalescerConfig& cfg) noexcept : cfg_(cfg) {}
@@ -46,12 +57,6 @@ class DmcUnit {
       std::span<const CoalescerRequest> sorted, Cycle start) const;
   [[nodiscard]] DmcResult coalesce_payload(
       std::span<const CoalescerRequest> sorted, Cycle start) const;
-
-  /// Split the line run [first_line, first_line + count) into legal packet
-  /// sizes (1/2/4 lines, power-of-two) and append packets to @p out.
-  void emit_line_run(Addr first_line_addr, std::uint32_t count, ReqType type,
-                     std::vector<std::vector<CoalescerRequest>>& line_groups,
-                     Cycle ready_at, std::vector<CoalescedPacket>& out) const;
 
   CoalescerConfig cfg_;
 };

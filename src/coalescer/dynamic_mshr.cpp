@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "coalescer/dmc_unit.hpp"
 #include "common/bits.hpp"
 
 namespace hmcc::coalescer {
@@ -19,61 +20,36 @@ std::vector<CoalescedPacket> DynamicMshrFile::repacketize(
     std::vector<CoalescerRequest> leftovers, ReqType type,
     Cycle ready_at) const {
   std::vector<CoalescedPacket> out;
-  if (leftovers.empty()) return out;
-  const std::uint32_t line = cfg_.line_bytes;
+  const Addr line = cfg_.line_bytes;
+  const Addr block = cfg_.max_packet_bytes;
   std::sort(leftovers.begin(), leftovers.end(),
             [](const CoalescerRequest& a, const CoalescerRequest& b) {
               return a.addr < b.addr;
             });
 
-  // Group constituents by line, then split contiguous line runs (inside one
-  // max-packet block) into power-of-two packets — the same legality rules as
-  // the DMC unit.
-  struct LineGroup {
-    Addr line;
-    std::vector<CoalescerRequest> reqs;
-  };
-  std::vector<LineGroup> groups;
+  // Group constituents by line into runs of contiguous lines inside one
+  // max-packet block, then cut each run with the DMC unit's packet rule.
+  std::vector<std::vector<CoalescerRequest>> run;
+  Addr run_base = 0;
+  Addr last_line = 0;
   for (CoalescerRequest& r : leftovers) {
     const Addr la = align_down(r.addr, line);
-    if (groups.empty() || groups.back().line != la) {
-      groups.push_back(LineGroup{la, {}});
+    if (!run.empty() && la == last_line) {
+      run.back().push_back(std::move(r));
+      continue;
     }
-    groups.back().reqs.push_back(std::move(r));
+    const bool same_block =
+        align_down(la, block) == align_down(run_base, block);
+    if (!run.empty() && (la != last_line + line || !same_block)) {
+      packetize_line_run(cfg_, run_base, run, type, ready_at, out);
+      run.clear();
+    }
+    if (run.empty()) run_base = la;
+    run.emplace_back().push_back(std::move(r));
+    last_line = la;
   }
-
-  std::size_t i = 0;
-  while (i < groups.size()) {
-    // Find the contiguous run [i, j) within one block.
-    const Addr block = align_down(groups[i].line, cfg_.max_packet_bytes);
-    std::size_t j = i + 1;
-    while (j < groups.size() && groups[j].line == groups[j - 1].line + line &&
-           align_down(groups[j].line, cfg_.max_packet_bytes) == block) {
-      ++j;
-    }
-    std::uint32_t remaining = static_cast<std::uint32_t>(j - i);
-    std::size_t pos = i;
-    while (remaining > 0) {
-      std::uint32_t chunk = 1;
-      while (chunk * 2 <= std::min(remaining, cfg_.max_lines_per_packet())) {
-        chunk *= 2;
-      }
-      CoalescedPacket pkt{};
-      pkt.addr = groups[pos].line;
-      pkt.bytes = chunk * line;
-      pkt.type = type;
-      pkt.ready_at = ready_at;
-      for (std::uint32_t k = 0; k < chunk; ++k) {
-        auto& reqs = groups[pos + k].reqs;
-        pkt.constituents.insert(pkt.constituents.end(),
-                                std::make_move_iterator(reqs.begin()),
-                                std::make_move_iterator(reqs.end()));
-      }
-      out.push_back(std::move(pkt));
-      pos += chunk;
-      remaining -= chunk;
-    }
-    i = j;
+  if (!run.empty()) {
+    packetize_line_run(cfg_, run_base, run, type, ready_at, out);
   }
   return out;
 }

@@ -31,17 +31,6 @@ std::string Config::get_string(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t Config::get_int(const std::string& key,
-                             std::int64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(it->second.c_str(), &end, 0);
-  if (errno == ERANGE) return fallback;  // clamped, not the written value
-  return (end && *end == '\0' && end != it->second.c_str()) ? v : fallback;
-}
-
 std::uint64_t Config::get_uint(const std::string& key,
                                std::uint64_t fallback) const {
   auto it = values_.find(key);

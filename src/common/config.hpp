@@ -33,8 +33,6 @@ class Config {
   /// ("12abc"), and values outside the representable range (ERANGE);
   /// get_uint additionally rejects negative input instead of letting
   /// strtoull wrap it ("threads=-1" must not become 2^64-1 threads).
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback) const;
   [[nodiscard]] std::uint64_t get_uint(const std::string& key,
                                        std::uint64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,

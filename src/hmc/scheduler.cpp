@@ -38,9 +38,6 @@ class FcfsScheduler final : public VaultScheduler {
     p.row_hit = view.row_hit(queue[p.index]);
     return p;
   }
-  [[nodiscard]] SchedPolicy policy() const noexcept override {
-    return SchedPolicy::kFcfs;
-  }
 };
 
 /// Shared FR-FCFS ranking over a candidate subset: row hit on a ready bank,
@@ -93,9 +90,6 @@ class FrfcfsScheduler final : public VaultScheduler {
     if (best != oldest && arrived(oldest)) ++queue[oldest].bypassed;
     return p;
   }
-  [[nodiscard]] SchedPolicy policy() const noexcept override {
-    return SchedPolicy::kFrfcfs;
-  }
 
  private:
   std::uint32_t starve_cap_;
@@ -140,9 +134,6 @@ class BatchScheduler final : public VaultScheduler {
     p.index = best;
     p.row_hit = view.row_hit(queue[best]);
     return p;
-  }
-  [[nodiscard]] SchedPolicy policy() const noexcept override {
-    return SchedPolicy::kBatch;
   }
 
  private:

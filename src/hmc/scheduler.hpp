@@ -73,8 +73,6 @@ class VaultScheduler {
   /// bypassed counters; must not reorder or remove entries.
   virtual SchedPick pick(std::vector<VaultRequest>& queue,
                          const BankView& view) = 0;
-
-  [[nodiscard]] virtual SchedPolicy policy() const noexcept = 0;
 };
 
 /// Factory for the policy selected by @p cfg.sched.

@@ -4,7 +4,6 @@
 
 #include "mem/hmc_backend.hpp"
 #include "mem/hybrid.hpp"
-#include "mem/slow_tier.hpp"
 
 namespace hmcc::mem {
 
@@ -12,15 +11,9 @@ std::unique_ptr<MemoryBackend> make_backend(Kernel& kernel,
                                             const hmc::HmcConfig& hmc_cfg,
                                             const MemConfig& cfg,
                                             MemoryBackend::CompleteFn on_complete) {
-  switch (cfg.backend) {
-    case BackendKind::kSlow:
-      return std::make_unique<SlowTierBackend>(kernel, cfg.slow,
-                                               std::move(on_complete));
-    case BackendKind::kHybrid:
-      return std::make_unique<HybridBackend>(kernel, hmc_cfg, cfg,
-                                             std::move(on_complete));
-    case BackendKind::kHmc:
-      break;
+  if (cfg.backend == BackendKind::kHybrid) {
+    return std::make_unique<HybridBackend>(kernel, hmc_cfg, cfg,
+                                           std::move(on_complete));
   }
   return std::make_unique<HmcBackend>(kernel, hmc_cfg, std::move(on_complete));
 }

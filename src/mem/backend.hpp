@@ -5,9 +5,9 @@
 // stack pluggable without perturbing the default path — HmcBackend is a
 // thin adapter whose submit() is the verbatim pre-seam issue path, so
 // `mem=hmc` (the default) is byte-identical to the pre-refactor simulator
-// and CI's golden gate pins it. SlowTierBackend swaps the cube for a flat
-// DDR/NVM-style channel device; HybridBackend composes both behind a
-// hot-page tag table and migration engine (mem/hybrid.hpp).
+// and CI's golden gate pins it. HybridBackend composes the cube with a
+// flat DDR/NVM-style channel device behind a hot-page tag table and
+// migration engine (mem/hybrid.hpp).
 //
 // Contract notes:
 //  * submit() must eventually invoke the CompleteFn exactly once per demand
@@ -41,7 +41,7 @@ namespace hmcc::mem {
 
 /// Tier-level accounting of the pluggable backends. For the default
 /// HmcBackend everything below is zero (its story is told by HmcStats);
-/// the slow and hybrid backends fill in their side of the split.
+/// the hybrid backend fills in both sides of the split.
 struct MemTierStats {
   std::uint64_t fast_hits = 0;       ///< demand packets served by the cube
   std::uint64_t slow_accesses = 0;   ///< demand packets served by the slow tier
@@ -81,11 +81,10 @@ class MemoryBackend {
   [[nodiscard]] virtual std::uint64_t outstanding() const noexcept = 0;
 
   /// Attach/detach a chrome-trace writer (packet spans, migration spans).
-  virtual void set_trace(obs::TraceWriter* trace) { (void)trace; }
+  virtual void set_trace(obs::TraceWriter* trace) = 0;
 
-  /// Wire statistics of the embedded cube; zeros when no cube exists
-  /// (mem=slow), so SystemReport.hmc stays meaningful for every backend.
-  [[nodiscard]] virtual hmc::HmcStats hmc_stats() const { return {}; }
+  /// Wire statistics of the embedded cube.
+  [[nodiscard]] virtual hmc::HmcStats hmc_stats() const = 0;
 
   /// Tier split / migration accounting (zeros for the bare cube).
   [[nodiscard]] virtual MemTierStats tier_stats() const { return {}; }

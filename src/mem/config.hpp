@@ -23,8 +23,6 @@ enum class BackendKind : std::uint8_t {
   /// The paper's bare HMC cube (default; byte-identical to the pre-seam
   /// simulator).
   kHmc,
-  /// The flat capacity tier alone: DDR/NVM-style channels, no HMC.
-  kSlow,
   /// HMC as a fast tier composed with the slow tier behind a hot-page tag
   /// table and migration engine (the `scheme=` knob picks the policy).
   kHybrid,
@@ -33,7 +31,6 @@ enum class BackendKind : std::uint8_t {
 [[nodiscard]] constexpr const char* to_string(BackendKind k) noexcept {
   switch (k) {
     case BackendKind::kHmc: return "hmc";
-    case BackendKind::kSlow: return "slow";
     case BackendKind::kHybrid: return "hybrid";
   }
   return "?";
@@ -63,12 +60,11 @@ enum class HybridScheme : std::uint8_t {
   return "?";
 }
 
-/// Flat capacity-tier device: a handful of DDR/NVM channels, row-buffer
-/// timing, and a bandwidth profile set by the per-column burst cost. All
-/// timing is in the simulator's single 3.3 GHz CPU-cycle clock domain,
-/// like hmc::HmcConfig. Defaults sketch a DDR4-ish channel pair: ~2x the
-/// cube's row latencies, 4x its per-column streaming cost, open-page (a
-/// capacity tier keeps rows open; locality is its only friend).
+/// Flat capacity-tier device: a handful of DDR/NVM channels, open-page
+/// row-buffer timing, and a bandwidth profile set by the per-column burst
+/// cost. All timing is in the simulator's single 3.3 GHz CPU-cycle clock
+/// domain, like hmc::HmcConfig. Defaults sketch a DDR4-ish channel pair:
+/// ~2x the cube's row latencies, 4x its per-column streaming cost.
 struct SlowTierConfig {
   std::uint32_t num_channels = 2;
   /// Channel-controller processing overhead per request.
@@ -81,8 +77,6 @@ struct SlowTierConfig {
   Cycle t_column_burst = 16;
   /// DRAM row (page buffer) size per channel in bytes.
   std::uint32_t row_bytes = 8192;
-  /// False = open-page (default: rows stay open, hits skip ACT).
-  bool closed_page = false;
 
   [[nodiscard]] bool valid() const noexcept {
     return num_channels >= 1 && is_pow2(row_bytes) && row_bytes >= 64;
@@ -108,15 +102,6 @@ struct MemConfig {
 
   [[nodiscard]] bool tiered() const noexcept {
     return backend == BackendKind::kHybrid && fast_pages > 0;
-  }
-  [[nodiscard]] bool valid() const noexcept {
-    if (!is_pow2(page_bytes) || page_bytes < 64) return false;
-    if (!slow.valid()) return false;
-    if (backend == BackendKind::kHybrid && fast_pages > 0) {
-      if (tag_ways == 0 || fast_pages % tag_ways != 0) return false;
-      if (!is_pow2(fast_pages / tag_ways)) return false;
-    }
-    return migrate_epoch >= 1 && hot_threshold >= 1;
   }
 };
 

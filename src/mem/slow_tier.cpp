@@ -29,12 +29,12 @@ void SlowTierDevice::submit(Addr addr, std::uint32_t bytes, ReqType type,
     ++stats_.row_hits;
   }
   ch.open_row = row;
-  ch.row_open = !cfg_.closed_page;
+  ch.row_open = true;
 
   const Cycle columns = (bytes + 31) / 32;
   const Cycle data_ready =
       start + row_latency + cfg_.t_cl + columns * cfg_.t_column_burst;
-  ch.busy_until = cfg_.closed_page ? data_ready + cfg_.t_rp : data_ready;
+  ch.busy_until = data_ready;
 
   if (type == ReqType::kStore) {
     ++stats_.writes;
@@ -49,48 +49,6 @@ void SlowTierDevice::submit(Addr addr, std::uint32_t bytes, ReqType type,
     --outstanding_;
     cb();
   });
-}
-
-SlowTierBackend::SlowTierBackend(Kernel& kernel, const SlowTierConfig& cfg,
-                                 CompleteFn on_complete)
-    : dev_(kernel, cfg), on_complete_(std::move(on_complete)) {}
-
-void SlowTierBackend::submit(const coalescer::CoalescedPacket& pkt) {
-  const ReqId id = pkt.id;
-  dev_.submit(pkt.addr, pkt.bytes, pkt.type,
-              [this, id] { on_complete_(id); });
-}
-
-MemTierStats SlowTierBackend::tier_stats() const {
-  MemTierStats t;
-  const SlowTierStats& s = dev_.stats();
-  t.slow_accesses = s.reads + s.writes;
-  t.slow_row_hits = s.row_hits;
-  t.slow_row_conflicts = s.row_conflicts;
-  t.demand_latency = s.latency;
-  return t;
-}
-
-desc::StatSet SlowTierBackend::stat_descriptors() const {
-  desc::StatSet set;
-  const SlowTierStats& s = dev_.stats();
-  set.counter("hmcc_slowmem_reads_total", "Slow-tier read requests served",
-              [&s] { return s.reads; });
-  set.counter("hmcc_slowmem_writes_total", "Slow-tier write requests served",
-              [&s] { return s.writes; });
-  set.counter("hmcc_slowmem_payload_bytes_total",
-              "Slow-tier payload bytes moved", [&s] { return s.payload_bytes; });
-  set.counter("hmcc_slowmem_row_hits_total", "Slow-tier open-row hits",
-              [&s] { return s.row_hits; });
-  set.counter("hmcc_slowmem_row_activations_total",
-              "Slow-tier row activations", [&s] { return s.row_activations; });
-  set.counter("hmcc_slowmem_row_conflicts_total",
-              "Slow-tier row conflicts (precharge before activate)",
-              [&s] { return s.row_conflicts; });
-  set.gauge("hmcc_slowmem_latency_mean_cycles",
-            "Mean slow-tier service latency in cycles",
-            [&s] { return s.latency.mean(); });
-  return set;
 }
 
 }  // namespace hmcc::mem

@@ -7,9 +7,9 @@
 //
 // Channel mapping interleaves rows: global_row = addr / row_bytes,
 // channel = global_row % num_channels. A request pays the controller
-// overhead, serializes on its channel's busy window, pays the row state
-// transition (hit / activate / conflict = precharge+activate, per
-// closed_page) and then streams its columns at t_column_burst each.
+// overhead, serializes on its channel's busy window, pays the open-page row
+// state transition (hit / activate / conflict = precharge+activate) and
+// then streams its columns at t_column_burst each.
 #pragma once
 
 #include <functional>
@@ -17,7 +17,6 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "mem/backend.hpp"
 #include "mem/config.hpp"
 #include "sim/kernel.hpp"
 
@@ -34,8 +33,7 @@ struct SlowTierStats {
   Accumulator latency;                ///< submit -> data-ready, cycles
 };
 
-/// The raw channel device, shared by SlowTierBackend (mem=slow) and
-/// HybridBackend (the capacity side of mem=hybrid).
+/// The raw channel device: the capacity side of mem=hybrid.
 class SlowTierDevice {
  public:
   /// Completion callback; fires at the cycle the last column streamed out.
@@ -53,15 +51,6 @@ class SlowTierDevice {
   [[nodiscard]] const SlowTierStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const SlowTierConfig& config() const noexcept { return cfg_; }
 
-  /// Worst-case single-request service time (conflict + max-size burst) —
-  /// the system's event-delay budget adds this for non-default backends.
-  [[nodiscard]] static Cycle worst_case_delay(
-      const SlowTierConfig& cfg) noexcept {
-    const Cycle columns = (hmcspec::kMaxRequestBytes + 31) / 32;
-    return cfg.ctrl_latency + cfg.t_rp + cfg.t_rcd + cfg.t_cl +
-           columns * cfg.t_column_burst;
-  }
-
  private:
   struct Channel {
     Cycle busy_until = 0;
@@ -74,27 +63,6 @@ class SlowTierDevice {
   std::vector<Channel> channels_;
   SlowTierStats stats_;
   std::uint64_t outstanding_ = 0;
-};
-
-/// mem=slow: the capacity tier alone behind the coalescer. Mostly a
-/// baseline for the hybrid ablation (how bad is it without the cube?).
-class SlowTierBackend final : public MemoryBackend {
- public:
-  SlowTierBackend(Kernel& kernel, const SlowTierConfig& cfg,
-                  CompleteFn on_complete);
-
-  void submit(const coalescer::CoalescedPacket& pkt) override;
-  [[nodiscard]] std::uint64_t outstanding() const noexcept override {
-    return dev_.outstanding();
-  }
-  [[nodiscard]] MemTierStats tier_stats() const override;
-  [[nodiscard]] desc::StatSet stat_descriptors() const override;
-
-  [[nodiscard]] const SlowTierDevice& device() const noexcept { return dev_; }
-
- private:
-  SlowTierDevice dev_;
-  CompleteFn on_complete_;
 };
 
 }  // namespace hmcc::mem

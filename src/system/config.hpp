@@ -123,13 +123,13 @@ struct SystemConfig {
   // timings above.
   const Cycle sched_drain =
       static_cast<Cycle>(h.vault_queue_depth) * h.vault_ctrl_latency;
-  // Non-default memory backends add the slow tier's unloaded service time
-  // for one page-sized transfer (a fill read is the longest routine event
-  // the hybrid schedules). The default `mem=hmc` budget is untouched, so
-  // the default ring size — and with it every default-path allocation
-  // pattern — stays exactly what it was before the backend seam.
+  // The hybrid backend adds the slow tier's unloaded service time for one
+  // page-sized transfer (a fill read is the longest routine event it
+  // schedules). The default `mem=hmc` budget is untouched, so the default
+  // ring size — and with it every default-path allocation pattern — stays
+  // exactly what it was before the backend seam.
   Cycle slow_round_trip = 0;
-  if (cfg.mem.backend != mem::BackendKind::kHmc) {
+  if (cfg.mem.backend == mem::BackendKind::kHybrid) {
     const auto& s = cfg.mem.slow;
     slow_round_trip = s.ctrl_latency + s.t_rp + s.t_rcd + s.t_cl +
                       s.t_column_burst *

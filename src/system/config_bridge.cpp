@@ -117,13 +117,6 @@ std::vector<Knob<SystemConfig>> build_platform_knobs() {
                 [](SystemConfig& c, std::uint64_t v) {
                   c.coalescer.max_subentries = static_cast<std::uint32_t>(v);
                 }));
-  // NOTE: applied before mode= (table order), and apply_mode() then derives
-  // the flag set from the mode — so an explicit bypass= only survives when
-  // no mode change re-derives it. This matches the historical behavior.
-  t.push_back(
-      b("bypass", "enable coalescer bypass",
-        [](const SystemConfig& c) { return c.coalescer.enable_bypass; },
-        [](SystemConfig& c, bool v) { c.coalescer.enable_bypass = v; }));
   t.push_back(desc::enum_knob<SystemConfig>(
       "pipeline", "platform", "pipeline shape: stage|step", {"stage", "step"},
       [](const SystemConfig& c) {
@@ -280,24 +273,18 @@ std::vector<Knob<SystemConfig>> build_platform_knobs() {
         [](SystemConfig& c, std::uint64_t v) { c.obs.sample_interval = v; }));
 
   // Memory backend (src/mem). The default, mem=hmc, is the bare cube and
-  // byte-identical to the pre-seam simulator; mem=slow swaps in the flat
-  // capacity tier; mem=hybrid composes both behind the hot-page tag table
-  // (scheme= picks the policy). fast_pages=0 leaves the hybrid fast tier
-  // unbounded — the degenerate point CI's byte-identity gate runs.
+  // byte-identical to the pre-seam simulator; mem=hybrid composes it with
+  // the flat capacity tier behind the hot-page tag table (scheme= picks the
+  // policy). fast_pages=0 leaves the hybrid fast tier unbounded — the
+  // degenerate point CI's byte-identity gate runs.
   t.push_back(desc::enum_knob<SystemConfig>(
-      "mem", "platform", "memory backend: hmc|slow|hybrid",
-      {"hmc", "slow", "hybrid"},
+      "mem", "platform", "memory backend: hmc|hybrid", {"hmc", "hybrid"},
       [](const SystemConfig& c) {
         return std::string(mem::to_string(c.mem.backend));
       },
       [](SystemConfig& c, const std::string& v) {
-        if (v == "slow") {
-          c.mem.backend = mem::BackendKind::kSlow;
-        } else if (v == "hybrid") {
-          c.mem.backend = mem::BackendKind::kHybrid;
-        } else {
-          c.mem.backend = mem::BackendKind::kHmc;
-        }
+        c.mem.backend = v == "hybrid" ? mem::BackendKind::kHybrid
+                                      : mem::BackendKind::kHmc;
       }));
   t.push_back(desc::enum_knob<SystemConfig>(
       "scheme", "platform", "hybrid tiering policy: cache|migrate|static",
@@ -506,11 +493,6 @@ bool overlay_config(const Config& cli, SystemConfig& cfg,
 
   desc::check_constraints(platform_constraints(), cfg, errors);
   return errors.size() == before;
-}
-
-bool overlay_config(const Config& cli, SystemConfig& cfg) {
-  std::vector<std::string> errors;
-  return overlay_config(cli, cfg, errors);
 }
 
 SystemConfig config_from_cli(const Config& cli) {

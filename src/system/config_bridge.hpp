@@ -4,7 +4,7 @@
 //
 //   cores, llc_mshrs, mlp, issue_interval
 //   l1_kb, l1_ways, l2_kb, l2_ways, llc_kb, llc_ways, line_bytes
-//   window, tau, timeout, max_subentries, bypass, pipeline (stage|step)
+//   window, tau, timeout, max_subentries, pipeline (stage|step)
 //   hmc_gb, vaults, banks, links, block_bytes, closed_page
 //   t_rcd, t_cl, t_rp, t_ras, serdes, xbar, cycles_per_flit
 //   mode (none|conventional|dmc-only|coalescer)
@@ -46,9 +46,6 @@ platform_constraints();
 /// was appended. Valid knobs still apply when others fail.
 bool overlay_config(const Config& cli, SystemConfig& cfg,
                     std::vector<std::string>& errors);
-
-/// Compatibility overload: true iff every provided value was accepted.
-bool overlay_config(const Config& cli, SystemConfig& cfg);
 
 /// Convenience: the paper platform with @p cli overlaid.
 /// @throws std::invalid_argument listing every rejected knob, one per line.

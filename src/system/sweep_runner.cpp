@@ -64,12 +64,4 @@ void SweepRunner::for_each_index(
   if (error) std::rethrow_exception(error);
 }
 
-std::vector<RunResult> SweepRunner::run_points(
-    const std::vector<Point>& points) const {
-  return map<RunResult>(points.size(), [&](std::size_t i) {
-    const Point& p = points[i];
-    return run_workload(p.workload, p.cfg, p.params);
-  });
-}
-
 }  // namespace hmcc::system

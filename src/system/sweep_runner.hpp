@@ -8,10 +8,10 @@
 // output (tables, CSV rows) is byte-identical regardless of thread count —
 // parallelism changes wall-clock, never results.
 //
-// The pool lives as long as the runner: repeated run_points()/map() calls on
-// one runner reuse the same workers instead of paying a thread-spawn/join
-// round per sweep (the bench-suite driver runs every figure's points through
-// a single runner this way).
+// The pool lives as long as the runner: repeated map() calls on one runner
+// reuse the same workers instead of paying a thread-spawn/join round per
+// sweep (the bench-suite driver runs every figure's points through a single
+// runner this way).
 #pragma once
 
 #include <cstddef>
@@ -42,11 +42,6 @@ class SweepRunner {
     SystemConfig cfg;
     workloads::WorkloadParams params;
   };
-
-  /// Run every point (each via run_workload) and return results in input
-  /// order.
-  [[nodiscard]] std::vector<RunResult> run_points(
-      const std::vector<Point>& points) const;
 
   /// Generic ordered fan-out: invoke @p fn(i) for every i in [0, count)
   /// across the pool. @p fn must be safe to call concurrently for distinct

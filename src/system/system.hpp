@@ -1,7 +1,7 @@
 // Full-system simulator: trace-driven cores -> L1/L2 -> shared LLC ->
 // memory coalescer (or baseline MSHR path) -> pluggable memory backend
-// (mem=hmc: the paper's HMC device; mem=slow: a flat capacity tier;
-// mem=hybrid: both behind a hot-page tag table and migration engine).
+// (mem=hmc: the paper's HMC device; mem=hybrid: the cube in front of a flat
+// capacity tier, behind a hot-page tag table and migration engine).
 //
 // This is the equivalent of the paper's Spike + microcode + runtime stack:
 // cores replay per-thread memory traces with a bounded number of

@@ -17,10 +17,6 @@ using trace::TraceRecord;
 /// profile after FT, matching its 22.21% paper speedup.
 class SparseLuWorkload final : public Workload {
  public:
-  std::string name() const override { return "sparselu"; }
-  std::string description() const override {
-    return "blocked sparse LU; cooperative sequential panel sweeps";
-  }
   double memory_phase_fraction() const override { return 0.24; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -77,10 +73,6 @@ class SparseLuWorkload final : public Workload {
 /// which both coalesces across cores and feeds the MSHR-merge baseline.
 class SortWorkload final : public Workload {
  public:
-  std::string name() const override { return "sort"; }
-  std::string description() const override {
-    return "parallel merge passes; cyclic output chunks, overlapping reads";
-  }
   double memory_phase_fraction() const override { return 0.36; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);

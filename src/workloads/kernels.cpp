@@ -10,6 +10,12 @@ namespace {
 using trace::MultiTrace;
 using trace::TraceRecord;
 
+/// Records one core emits in either kernel: three accesses per element
+/// plus the barrier closing every fourth chunk.
+std::uint64_t records_per_core(std::uint64_t chunks, std::uint64_t elems) {
+  return chunks * elems * 3 + chunks / 4;
+}
+
 /// STREAM triad: a[i] = b[i] + s * c[i] over SHARED arrays with a cyclic
 /// OpenMP schedule (one cache line of elements per chunk). Each core's own
 /// miss stream is strided by num_cores lines, but the cores advance in
@@ -17,10 +23,6 @@ using trace::TraceRecord;
 /// the multi-core coalescing case the paper's §3.1 argues for.
 class StreamWorkload final : public Workload {
  public:
-  std::string name() const override { return "stream"; }
-  std::string description() const override {
-    return "STREAM triad over shared arrays, cyclic line-sized chunks";
-  }
   double memory_phase_fraction() const override { return 0.22; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -32,7 +34,7 @@ class StreamWorkload final : public Workload {
     const std::uint64_t chunks_per_core = iters_per_core / kChunkElems;
     for (std::uint32_t core = 0; core < p.num_cores; ++core) {
       Emitter out(mt.per_core[core]);
-      out.reserve(iters_per_core * 3);
+      out.reserve(records_per_core(chunks_per_core, kChunkElems));
       for (std::uint64_t k = 0; k < chunks_per_core; ++k) {
         const std::uint64_t chunk = k * p.num_cores + core;  // cyclic
         for (std::uint64_t e = 0; e < kChunkElems; ++e) {
@@ -58,10 +60,6 @@ class StreamWorkload final : public Workload {
 /// sequential.
 class SgWorkload final : public Workload {
  public:
-  std::string name() const override { return "sg"; }
-  std::string description() const override {
-    return "gather out[i]=data[idx[i]]; clustered walk over shared table";
-  }
   double memory_phase_fraction() const override { return 0.29; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -91,7 +89,7 @@ class SgWorkload final : public Workload {
 
     for (std::uint32_t core = 0; core < p.num_cores; ++core) {
       Emitter out(mt.per_core[core]);
-      out.reserve(iters_per_core * 3);
+      out.reserve(records_per_core(chunks_per_core, kChunkElems));
       for (std::uint64_t k = 0; k < chunks_per_core; ++k) {
         const std::uint64_t chunk = k * p.num_cores + core;
         for (std::uint64_t e = 0; e < kChunkElems; ++e) {

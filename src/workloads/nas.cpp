@@ -15,10 +15,6 @@ using trace::TraceRecord;
 /// table reads. Lowest coalescing gain and smallest speedup in the paper.
 class EpWorkload final : public Workload {
  public:
-  std::string name() const override { return "ep"; }
-  std::string description() const override {
-    return "EP RNG; sparse skewed 8B tally RMWs, low memory traffic";
-  }
   double memory_phase_fraction() const override { return 1.00; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -53,10 +49,6 @@ class EpWorkload final : public Workload {
 /// case in the paper (75.52% efficiency, 25.43% speedup).
 class FtWorkload final : public Workload {
  public:
-  std::string name() const override { return "ft"; }
-  std::string description() const override {
-    return "FFT transpose; cooperative contiguous pencil copies (16B)";
-  }
   double memory_phase_fraction() const override { return 0.26; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -107,10 +99,6 @@ class FtWorkload final : public Workload {
 /// cyclic line chunks — the mix that gives IS its moderate coalescing.
 class IsWorkload final : public Workload {
  public:
-  std::string name() const override { return "is"; }
-  std::string description() const override {
-    return "bucket sort; random bucket RMW + cooperative rank phases";
-  }
   double memory_phase_fraction() const override { return 0.55; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -170,10 +158,6 @@ class IsWorkload final : public Workload {
 /// coalescing phases. Largest trace of the suite together with SP.
 class LuWorkload final : public Workload {
  public:
-  std::string name() const override { return "lu"; }
-  std::string description() const override {
-    return "SSOR sweeps; cooperative row runs with stencil halo reads";
-  }
   double memory_phase_fraction() const override { return 0.22; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -224,10 +208,6 @@ class LuWorkload final : public Workload {
 /// Figure 11 saving).
 class SpWorkload final : public Workload {
  public:
-  std::string name() const override { return "sp"; }
-  std::string description() const override {
-    return "penta-diagonal x/y/z sweeps; mixed unit and plane strides";
-  }
   double memory_phase_fraction() const override { return 0.30; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);

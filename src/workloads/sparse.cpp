@@ -21,10 +21,6 @@ using trace::TraceRecord;
 /// bandwidth efficiency" observation.
 class HpcgWorkload final : public Workload {
  public:
-  std::string name() const override { return "hpcg"; }
-  std::string description() const override {
-    return "27-pt stencil SpMV; 16B (val,col) pairs + stencil x gathers";
-  }
   double memory_phase_fraction() const override { return 0.90; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -71,10 +67,6 @@ class HpcgWorkload final : public Workload {
 /// lines feed the conventional-MSHR merge baseline.
 class CgWorkload final : public Workload {
  public:
-  std::string name() const override { return "cg"; }
-  std::string description() const override {
-    return "random-sparsity SpMV; shared values, skewed random x gathers";
-  }
   double memory_phase_fraction() const override { return 1.00; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);
@@ -111,10 +103,6 @@ class CgWorkload final : public Workload {
 /// ones.
 class Ssca2Workload final : public Workload {
  public:
-  std::string name() const override { return "ssca2"; }
-  std::string description() const override {
-    return "scale-free graph; collective edge-chunk processing per frontier";
-  }
   double memory_phase_fraction() const override { return 0.90; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = make_streams(p);

@@ -146,13 +146,8 @@ void run_warp_core(const WarpParams& w, std::uint64_t budget,
 
 class WarpWorkload final : public Workload {
  public:
-  WarpWorkload(std::string name, std::string description, InstFnFactory fn)
-      : name_(std::move(name)),
-        description_(std::move(description)),
-        factory_(std::move(fn)) {}
+  explicit WarpWorkload(InstFnFactory fn) : factory_(std::move(fn)) {}
 
-  std::string name() const override { return name_; }
-  std::string description() const override { return description_; }
   MultiTrace generate(const WorkloadParams& p) const override {
     MultiTrace mt = detail::make_streams(p);
     for (std::uint32_t core = 0; core < p.num_cores; ++core) {
@@ -166,8 +161,6 @@ class WarpWorkload final : public Workload {
   }
 
  private:
-  std::string name_;
-  std::string description_;
   InstFnFactory factory_;
 };
 
@@ -182,7 +175,6 @@ namespace detail {
 /// merging downstream (the conventional-MSHR case) still fires.
 std::unique_ptr<Workload> make_warp_gups() {
   return std::make_unique<WarpWorkload>(
-      "warp_gups", "warp gather/update over a shared table; divergent lanes",
       [](const WorkloadParams& p, std::uint32_t /*core*/) -> WarpInstFn {
         const Addr table = shared_base(p);
         const std::uint64_t elems = (256ULL << 20) / 8;
@@ -211,7 +203,6 @@ std::unique_ptr<Workload> make_warp_gups() {
 /// contrast to warp_gups in the ablation.
 std::unique_ptr<Workload> make_warp_saxpy() {
   return std::make_unique<WarpWorkload>(
-      "warp_saxpy", "unit-stride warp SAXPY; fully converged vectors",
       [](const WorkloadParams& p, std::uint32_t core) -> WarpInstFn {
         const Addr x = shared_base(p);
         const Addr y = x + (512ULL << 20);
@@ -251,7 +242,6 @@ std::unique_ptr<Workload> make_warp_saxpy() {
 /// the knob that matters.
 std::unique_ptr<Workload> make_warp_chase() {
   return std::make_unique<WarpWorkload>(
-      "warp_chase", "per-lane pointer chase; divergent dependent loads",
       [](const WorkloadParams& p, std::uint32_t core) -> WarpInstFn {
         const Addr pool = core_base(p, core);
         const std::uint64_t nodes = (64ULL << 20) / kWarpLineBytes;
@@ -280,12 +270,6 @@ std::unique_ptr<Workload> make_warp_chase() {
 }
 
 }  // namespace detail
-
-const std::vector<std::string>& warp_workload_names() {
-  static const std::vector<std::string> names = {"warp_gups", "warp_saxpy",
-                                                 "warp_chase"};
-  return names;
-}
 
 const std::vector<desc::Knob<WarpParams>>& warp_knobs() {
   static const std::vector<desc::Knob<WarpParams>> table = [] {

@@ -46,11 +46,6 @@ struct WarpRun {
 [[nodiscard]] std::vector<WarpRun> coalesce_warp_vector(
     const std::vector<Addr>& lane_addrs, std::uint32_t access_bytes);
 
-/// The warp workload names (warp_gups, warp_saxpy, warp_chase). Deliberately
-/// NOT part of workload_names(): that list is the paper's 12 benchmarks and
-/// the figure benches iterate it verbatim. make_workload() resolves both.
-[[nodiscard]] const std::vector<std::string>& warp_workload_names();
-
 /// Declarative knob table for WarpParams: warps= warp_width= lanes=
 /// max_outstanding_warps= (bench scope). bench_knobs() wraps these onto
 /// BenchEnv so the suite, daemon metadata and typo warnings pick them up

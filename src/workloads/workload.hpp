@@ -47,9 +47,6 @@ struct WorkloadParams {
 class Workload {
  public:
   virtual ~Workload() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Human-readable description of the pattern being mimicked.
-  [[nodiscard]] virtual std::string description() const = 0;
   [[nodiscard]] virtual trace::MultiTrace generate(
       const WorkloadParams& params) const = 0;
 

@@ -91,6 +91,39 @@ TEST(Cache, LruOrderWithinSet) {
   EXPECT_TRUE(c.probe(2 * 512));
 }
 
+TEST(Lru, EvictsLeastRecentlyTouched) {
+  CacheConfig cfg;
+  cfg.size_bytes = 4 * 64;  // one set of four ways
+  cfg.ways = 4;
+  Cache c(cfg);
+  for (Addr a : {0, 64, 128, 192}) c.access(a, false);
+  c.access(0, false);  // hit: 64 is now the least recent
+  c.fill(256, false);
+  EXPECT_FALSE(c.probe(64));
+  c.lookup(128, false);  // LLC-style hits count as touches too
+  c.lookup(192, false);
+  c.fill(320, false);  // 0 is the least recent now
+  EXPECT_FALSE(c.probe(0));
+  for (Addr a : {128, 192, 256, 320}) EXPECT_TRUE(c.probe(a)) << a;
+}
+
+TEST(Lru, SetsAreIndependent) {
+  CacheConfig cfg;
+  cfg.size_bytes = 4 * 64;  // two sets of two ways; bit 6 picks the set
+  cfg.ways = 2;
+  Cache c(cfg);
+  c.access(64, false);  // set 1, the least recent line of the whole cache
+  c.access(192, false);
+  c.access(0, false);  // set 0
+  c.access(128, false);
+  c.fill(256, false);  // set 0 evicts its own LRU line, not set 1's
+  EXPECT_FALSE(c.probe(0));
+  EXPECT_TRUE(c.probe(64));
+  c.fill(320, false);
+  EXPECT_FALSE(c.probe(64));
+  for (Addr a : {128, 192, 256, 320}) EXPECT_TRUE(c.probe(a)) << a;
+}
+
 TEST(Cache, WorkingSetSmallerThanCacheNeverEvicts) {
   CacheConfig cfg;
   cfg.size_bytes = 32 * 1024;

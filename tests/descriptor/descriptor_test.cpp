@@ -172,10 +172,8 @@ TEST(PlatformKnobs, ModeRejectsRetiredFullAlias) {
 }
 
 TEST(PlatformKnobs, OverlayAppliesNonDefaultsAndReadsThemBack) {
-  // bypass is excluded: apply_mode() re-derives the flag set from mode, so
-  // bypass= only sticks until the next mode application (historical
-  // behavior, kept). llc_mshrs rides along with window: the CRQ-capacity
-  // constraint rejects a window wider than the MSHR file.
+  // llc_mshrs rides along with window: the CRQ-capacity constraint rejects
+  // a window wider than the MSHR file.
   const std::vector<std::pair<std::string, std::string>> want = {
       {"cores", "8"},        {"l1_kb", "64"},       {"window", "32"},
       {"llc_mshrs", "32"},   {"mode", "dmc-only"},  {"pipeline", "step"},

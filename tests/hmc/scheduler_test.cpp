@@ -35,8 +35,8 @@ VaultRequest req(std::uint32_t bank, std::uint64_t row, Cycle arrival,
   return r;
 }
 
-std::unique_ptr<VaultScheduler> make_policy(SchedPolicy p,
-                                            std::uint32_t starve_cap = 8) {
+std::unique_ptr<VaultScheduler> make_sched(SchedPolicy p,
+                                           std::uint32_t starve_cap = 8) {
   HmcConfig cfg = open_page_cfg();
   cfg.sched = p;
   cfg.sched_starve_cap = starve_cap;
@@ -49,7 +49,7 @@ TEST(Scheduler, FcfsAlwaysPicksOldest) {
   banks[0].access(5, 64, 0);  // open row 5 on bank 0
   std::vector<VaultRequest> queue = {req(1, 9, 0, 2), req(0, 5, 0, 1)};
   const BankView view{&banks, 1000};
-  auto sched = make_policy(SchedPolicy::kFcfs);
+  auto sched = make_sched(SchedPolicy::kFcfs);
   const SchedPick p = sched->pick(queue, view);
   EXPECT_EQ(queue[p.index].order, 1u);  // oldest, despite bank 0's open row
 }
@@ -60,7 +60,7 @@ TEST(Scheduler, FrfcfsPrefersRowHitOverOldest) {
   banks[0].access(5, 64, 0);  // open row 5 on bank 0
   std::vector<VaultRequest> queue = {req(1, 9, 0, 1), req(0, 5, 0, 2)};
   const BankView view{&banks, 1000};
-  auto sched = make_policy(SchedPolicy::kFrfcfs);
+  auto sched = make_sched(SchedPolicy::kFrfcfs);
   const SchedPick p = sched->pick(queue, view);
   EXPECT_EQ(queue[p.index].order, 2u);  // the row hit, not the oldest
   EXPECT_TRUE(p.row_hit);
@@ -74,7 +74,7 @@ TEST(Scheduler, FrfcfsIgnoresFutureArrivals) {
   // The row hit has not arrived yet at cycle 10; the miss has.
   std::vector<VaultRequest> queue = {req(1, 9, 0, 1), req(0, 5, 500, 2)};
   const BankView view{&banks, 10};
-  auto sched = make_policy(SchedPolicy::kFrfcfs);
+  auto sched = make_sched(SchedPolicy::kFrfcfs);
   const SchedPick p = sched->pick(queue, view);
   EXPECT_EQ(queue[p.index].order, 1u);
   EXPECT_EQ(queue[0].bypassed, 0u);  // nothing bypassed it
@@ -88,7 +88,7 @@ TEST(Scheduler, FrfcfsStarvationCapForcesOldest) {
   std::vector<VaultRequest> queue = {req(1, 9, 0, 1), req(0, 5, 0, 2)};
   const BankView view{&banks, 1000};
   const std::uint32_t cap = 3;
-  auto sched = make_policy(SchedPolicy::kFrfcfs, cap);
+  auto sched = make_sched(SchedPolicy::kFrfcfs, cap);
   for (std::uint32_t i = 0; i < cap; ++i) {
     const SchedPick p = sched->pick(queue, view);
     EXPECT_EQ(queue[p.index].order, 2u) << i;
@@ -107,7 +107,7 @@ TEST(Scheduler, BatchDrainsCurrentBatchBeforeYoungerEntries) {
   const HmcConfig cfg = open_page_cfg();
   std::vector<Bank> banks(2, Bank(cfg));
   banks[0].access(5, 64, 0);
-  auto sched = make_policy(SchedPolicy::kBatch);
+  auto sched = make_sched(SchedPolicy::kBatch);
   // First pick forms the batch {1, 2}.
   std::vector<VaultRequest> queue = {req(1, 9, 0, 1), req(1, 8, 0, 2)};
   const BankView view{&banks, 1000};
@@ -129,7 +129,7 @@ TEST(Scheduler, BatchPicksRowHitFirstInsideBatch) {
   const HmcConfig cfg = open_page_cfg();
   std::vector<Bank> banks(2, Bank(cfg));
   banks[0].access(5, 64, 0);
-  auto sched = make_policy(SchedPolicy::kBatch);
+  auto sched = make_sched(SchedPolicy::kBatch);
   std::vector<VaultRequest> queue = {req(1, 9, 0, 1), req(0, 5, 0, 2)};
   const BankView view{&banks, 1000};
   const SchedPick p = sched->pick(queue, view);

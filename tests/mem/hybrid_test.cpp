@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
+
+#include "system/config_bridge.hpp"
 
 namespace hmcc::mem {
 namespace {
@@ -50,7 +53,11 @@ MemConfig tiered(HybridScheme scheme) {
   m.tag_ways = 2;
   m.migrate_epoch = 2000;
   m.hot_threshold = 2;
-  EXPECT_TRUE(m.valid());
+  system::SystemConfig sys;
+  sys.mem = m;
+  std::vector<std::string> errors;
+  desc::check_constraints(system::platform_constraints(), sys, errors);
+  EXPECT_EQ(errors, std::vector<std::string>{});
   return m;
 }
 

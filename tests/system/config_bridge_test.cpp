@@ -24,12 +24,13 @@ TEST(ConfigBridge, OverlaysEveryCategory) {
   for (const char* kv :
        {"cores=4", "llc_mshrs=8", "mlp=4", "issue_interval=2", "l1_kb=16",
         "l2_kb=128", "llc_kb=1024", "window=8", "tau=1", "timeout=16",
-        "bypass=off", "pipeline=step", "hmc_gb=4", "vaults=16", "banks=8",
-        "links=2", "closed_page=off", "t_rcd=40", "mode=dmc-only"}) {
+        "pipeline=step", "hmc_gb=4", "vaults=16", "banks=8", "links=2",
+        "closed_page=off", "t_rcd=40", "mode=dmc-only"}) {
     ASSERT_TRUE(cli.set_from_string(kv));
   }
   SystemConfig cfg = paper_system_config();
-  ASSERT_TRUE(overlay_config(cli, cfg));
+  std::vector<std::string> errors;
+  ASSERT_TRUE(overlay_config(cli, cfg, errors));
   EXPECT_EQ(cfg.hierarchy.num_cores, 4u);
   EXPECT_EQ(cfg.hierarchy.llc_mshrs, 8u);
   EXPECT_EQ(cfg.coalescer.num_mshrs, 8u);  // kept consistent by apply_mode
@@ -39,7 +40,7 @@ TEST(ConfigBridge, OverlaysEveryCategory) {
   EXPECT_EQ(cfg.hierarchy.llc.size_bytes, 1u << 20);
   EXPECT_EQ(cfg.coalescer.window, 8u);
   EXPECT_EQ(cfg.coalescer.tau, 1u);
-  // apply_mode(dmc-only) re-enables bypass: the mode owns the flag set.
+  // apply_mode(dmc-only) turns the bypass on: the mode owns the flag set.
   EXPECT_TRUE(cfg.coalescer.enable_bypass);
   EXPECT_EQ(cfg.coalescer.pipeline_shape, coalescer::PipelineShape::kPerStep);
   EXPECT_EQ(cfg.hmc.capacity_bytes, 4ULL << 30);
@@ -57,25 +58,29 @@ TEST(ConfigBridge, RejectsInvalidStructures) {
     Config cli;
     cli.set("vaults", "33");  // not a power of two
     SystemConfig cfg = paper_system_config();
-    EXPECT_FALSE(overlay_config(cli, cfg));
+    std::vector<std::string> errors;
+    EXPECT_FALSE(overlay_config(cli, cfg, errors));
   }
   {
     Config cli;
     cli.set("mode", "warpspeed");
     SystemConfig cfg = paper_system_config();
-    EXPECT_FALSE(overlay_config(cli, cfg));
+    std::vector<std::string> errors;
+    EXPECT_FALSE(overlay_config(cli, cfg, errors));
   }
   {
     Config cli;
     cli.set("pipeline", "spiral");
     SystemConfig cfg = paper_system_config();
-    EXPECT_FALSE(overlay_config(cli, cfg));
+    std::vector<std::string> errors;
+    EXPECT_FALSE(overlay_config(cli, cfg, errors));
   }
   {
     Config cli;
     cli.set("window", "12");  // not a power of two
     SystemConfig cfg = paper_system_config();
-    EXPECT_FALSE(overlay_config(cli, cfg));
+    std::vector<std::string> errors;
+    EXPECT_FALSE(overlay_config(cli, cfg, errors));
   }
 }
 
@@ -97,7 +102,8 @@ TEST(ConfigBridge, ConstraintsNameTheOffendingKnob) {
     cli.set("window", "64");  // legal once the MSHR file is widened too
     cli.set("llc_mshrs", "64");
     SystemConfig cfg = paper_system_config();
-    EXPECT_TRUE(overlay_config(cli, cfg));
+    std::vector<std::string> errors;
+    EXPECT_TRUE(overlay_config(cli, cfg, errors));
     EXPECT_EQ(cfg.coalescer.window, 64u);
   }
 }
@@ -108,7 +114,8 @@ TEST(ConfigBridge, OverlaidSystemRuns) {
   cli.set("window", "8");
   cli.set("hmc_gb", "1");
   SystemConfig cfg = paper_system_config();
-  ASSERT_TRUE(overlay_config(cli, cfg));
+  std::vector<std::string> errors;
+  ASSERT_TRUE(overlay_config(cli, cfg, errors));
   workloads::WorkloadParams p;
   p.accesses_per_core = 1000;
   const auto r = run_workload("stream", cfg, p);

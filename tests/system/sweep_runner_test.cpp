@@ -40,6 +40,13 @@ std::string report_fingerprint(const RunResult& r) {
   return buf;
 }
 
+std::vector<RunResult> run_all(const SweepRunner& runner,
+                               const std::vector<SweepRunner::Point>& points) {
+  return runner.map<RunResult>(points.size(), [&](std::size_t i) {
+    return run_workload(points[i].workload, points[i].cfg, points[i].params);
+  });
+}
+
 std::vector<SweepRunner::Point> sample_points() {
   workloads::WorkloadParams params;
   params.accesses_per_core = 1500;
@@ -60,8 +67,8 @@ std::vector<SweepRunner::Point> sample_points() {
 
 TEST(SweepRunner, ThreadCountDoesNotChangeResults) {
   const auto points = sample_points();
-  const auto serial = SweepRunner(1).run_points(points);
-  const auto parallel = SweepRunner(4).run_points(points);
+  const auto serial = run_all(SweepRunner(1), points);
+  const auto parallel = run_all(SweepRunner(4), points);
   ASSERT_EQ(serial.size(), points.size());
   ASSERT_EQ(parallel.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -94,10 +101,10 @@ TEST(SweepRunner, PropagatesWorkerExceptions) {
                                        }
                                      }),
                std::runtime_error);
-  EXPECT_THROW(
-      (void)runner.run_points({{"no-such-workload", paper_system_config(),
-                                workloads::WorkloadParams{}}}),
-      std::invalid_argument);
+  EXPECT_THROW((void)run_all(runner, {{"no-such-workload",
+                                       paper_system_config(),
+                                       workloads::WorkloadParams{}}}),
+               std::invalid_argument);
 }
 
 TEST(SweepRunner, RethrowsLowestFailingIndexDeterministically) {
