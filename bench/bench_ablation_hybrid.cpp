@@ -12,13 +12,13 @@
 // fast-tier hit rate versus the migration traffic it pays for it.
 //
 // Sweep: {stream, sg} x scheme {cache, migrate, static} x {conventional,
-// full}. Point-level results land in BENCH_hybrid.json (written only when
-// a CSV path is configured, so in-daemon runs stay file-free).
+// full}. Point-level results land in BENCH_hybrid.json beside the CSV
+// (written only when a CSV path is configured, so in-daemon runs stay
+// file-free).
 //
 // Not part of the default `bench_suite` selection: the default suite's
 // stdout+CSV bundle is pinned by the byte-identity golden, which predates
-// this bench. Run it via only=ablation_hybrid, its standalone binary, or a
-// daemon job.
+// this bench. Run it via only=ablation_hybrid or a daemon job.
 #include <cstdio>
 #include <string>
 
@@ -144,10 +144,7 @@ SuiteBench make_ablation_hybrid() {
         }
       }
       json += "]}\n";
-      if (std::FILE* f = std::fopen("BENCH_hybrid.json", "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-      }
+      write_beside_csv(env, "BENCH_hybrid.json", json);
     }
     return line;
   };

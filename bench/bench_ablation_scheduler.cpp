@@ -10,8 +10,9 @@
 // Sweep: {stream, sg} x sched {fcfs, frfcfs, batch} x noc {off, quadrant}
 // x {conventional MSHR, full coalescer}, all under open-page row buffers.
 // Besides the table/CSV every bench emits, the point-level results land in
-// BENCH_scheduler.json (written only when a CSV path is configured, so
-// in-daemon runs — which capture stdout, not files — stay file-free).
+// BENCH_scheduler.json beside the CSV (written only when a CSV path is
+// configured, so in-daemon runs — which capture stdout, not files — stay
+// file-free).
 #include <cstdio>
 #include <string>
 
@@ -138,10 +139,7 @@ SuiteBench make_ablation_scheduler() {
         }
       }
       json += "]}\n";
-      if (std::FILE* f = std::fopen("BENCH_scheduler.json", "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-      }
+      write_beside_csv(env, "BENCH_scheduler.json", json);
     }
     return line;
   };

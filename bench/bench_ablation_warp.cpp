@@ -11,9 +11,9 @@
 //
 // Sweep: {warp_gups, warp_saxpy, warp_chase} x warp_width {8, 32}
 // x window {8, 32} x {conventional MSHR, full coalescer}. Point-level
-// results land in BENCH_warp.json (written only when a CSV path is
-// configured, so in-daemon runs — which capture stdout, not files — stay
-// file-free).
+// results land in BENCH_warp.json beside the CSV (written only when a CSV
+// path is configured, so in-daemon runs — which capture stdout, not files —
+// stay file-free).
 #include <cstdio>
 #include <string>
 
@@ -133,10 +133,7 @@ SuiteBench make_ablation_warp() {
         }
       }
       json += "]}\n";
-      if (std::FILE* f = std::fopen("BENCH_warp.json", "w")) {
-        std::fputs(json.c_str(), f);
-        std::fclose(f);
-      }
+      write_beside_csv(env, "BENCH_warp.json", json);
     }
     return line;
   };

@@ -1,4 +1,4 @@
-// Shared plumbing for the figure-reproduction bench binaries.
+// Shared plumbing for the figure-reproduction benches.
 //
 // Every bench prints an ASCII table mirroring one figure of the paper and
 // writes the same rows as CSV (<bench-name>.csv in the working directory).
@@ -7,15 +7,13 @@
 //   accesses=<n>  per-core CPU accesses (default 15000)
 //   seed=<n>      workload RNG seed
 //   csv=<path>    CSV output path ("" disables)
-//   threads=<n>   sweep-point fan-out (default 0 = hardware_concurrency)
 //
 // Malformed arguments (no '=') and unknown keys are warned about on stderr:
 // a typo'd "thread=8" must not silently run single-threaded. The platform
 // key list lives in system/config_bridge.hpp.
 //
-// Sweep-shaped benches run their (config, workload) points through
-// system::SweepRunner: points execute in parallel but results are collected
-// in input order, so tables and CSVs are identical for any threads= value.
+// A bench's points run in parallel but its results are collected in input
+// order, so tables and CSVs are identical for any bench_suite threads=.
 #pragma once
 
 #include <algorithm>
@@ -37,16 +35,12 @@ struct BenchEnv {
   Config cli;
   workloads::WorkloadParams params;
   std::string csv_path;
-  unsigned threads = 0;  ///< 0 = hardware_concurrency
 
   /// The paper platform with any CLI overrides applied (see
   /// system/config_bridge.hpp for the full key list).
   system::SystemConfig base_config() const {
     return system::config_from_cli(cli);
   }
-
-  /// Sweep fan-out honoring the threads= knob.
-  system::SweepRunner runner() const { return system::SweepRunner(threads); }
 };
 
 /// The harness knob table: desc::Knob<BenchEnv> entries for the keys
@@ -70,16 +64,9 @@ inline const std::vector<desc::Knob<BenchEnv>>& bench_knobs() {
         "csv", "bench", "CSV output path (\"\" disables)",
         [](const BenchEnv& e) { return e.csv_path; },
         [](BenchEnv& e, std::string v) { e.csv_path = std::move(v); }));
-    t.push_back(desc::uint_knob<BenchEnv>(
-        "threads", "bench", "sweep fan-out (0 = hardware concurrency)", 0,
-        4096, [](const BenchEnv& e) { return e.threads; },
-        [](BenchEnv& e, std::uint64_t v) {
-          e.threads = static_cast<unsigned>(v);
-        }));
     t[0].meta.default_value = "15000";
     t[1].meta.default_value = "1";
     t[2].meta.default_value = "<bench>.csv";
-    t[3].meta.default_value = "0";
     // The warp front-end's canonical table (workloads/warp.hpp), re-targeted
     // at BenchEnv so warps=/warp_width=/lanes=/max_outstanding_warps= flow
     // through the same metadata, typo-warning and daemon paths as the rest.
@@ -142,7 +129,7 @@ inline void warn_unrecognized(const Config& cli,
 }
 
 /// Build a BenchEnv from an already-parsed Config. The CSV path defaults to
-/// "<bench_name>.csv"; suite and standalone drivers share this so a bench
+/// "<bench_name>.csv"; bench_suite and the daemon share this so a bench
 /// produces byte-identical output either way.
 inline BenchEnv make_env(const Config& cli, const char* bench_name,
                          std::uint64_t default_accesses = 15000) {
@@ -150,12 +137,11 @@ inline BenchEnv make_env(const Config& cli, const char* bench_name,
   env.cli = cli;
   // Per-bench defaults first, then the knob table overlays whatever the CLI
   // provides. A rejected value warns and keeps the default — benches stay
-  // best-effort like the historical parser; the suite/standalone drivers
-  // pre-validate the PLATFORM knobs, which can invalidate a whole run.
+  // best-effort like the historical parser; bench_suite pre-validates the
+  // PLATFORM knobs, which can invalidate a whole run.
   env.params.accesses_per_core = default_accesses;
   env.params.seed = 1;
   env.csv_path = std::string(bench_name) + ".csv";
-  env.threads = 0;
   for (const auto& k : bench_knobs()) {
     if (!env.cli.has(k.meta.key)) continue;
     const std::string raw = env.cli.get_string(k.meta.key, "");
@@ -167,27 +153,6 @@ inline BenchEnv make_env(const Config& cli, const char* bench_name,
     }
   }
   return env;
-}
-
-inline BenchEnv parse_env(int argc, char** argv, const char* bench_name,
-                          std::uint64_t default_accesses = 15000) {
-  Config cli;
-  std::vector<std::string> rejected;
-  cli.parse_args(argc, argv, &rejected);
-  warn_unrecognized(cli, rejected);
-  return make_env(cli, bench_name, default_accesses);
-}
-
-inline void emit(const Table& table, const BenchEnv& env,
-                 const char* title, const char* paper_note) {
-  std::printf("=== %s ===\n%s\n", title, paper_note);
-  std::fputs(table.to_ascii().c_str(), stdout);
-  if (!env.csv_path.empty()) {
-    if (table.write_csv(env.csv_path)) {
-      std::printf("(rows written to %s)\n", env.csv_path.c_str());
-    }
-  }
-  std::printf("\n");
 }
 
 }  // namespace hmcc::bench

@@ -44,55 +44,4 @@ std::vector<SuiteTask> run_point_tasks(
   return tasks;
 }
 
-const std::vector<KnobInfo>& suite_knob_info() {
-  // Generated from the two knob tables — the SAME tables make_env() and
-  // overlay_config() parse from — so the served metadata cannot drift from
-  // the parser. Harness knobs first, then platform knobs in table order.
-  static const std::vector<KnobInfo> knobs = [] {
-    std::vector<KnobInfo> out;
-    auto append = [&out](const std::vector<desc::KnobMeta>& metas) {
-      for (const desc::KnobMeta& m : metas) {
-        out.push_back(KnobInfo{m.key, desc::to_string(m.kind), m.scope,
-                               m.help});
-      }
-    };
-    append(bench_knob_metadata());
-    append(system::platform_knob_metadata());
-    return out;
-  }();
-  return knobs;
-}
-
-int run_standalone(const SuiteBench& bench, int argc, char** argv) {
-  Config cli;
-  std::vector<std::string> rejected;
-  cli.parse_args(argc, argv, &rejected);
-  warn_unrecognized(cli, rejected);
-  // Platform knobs invalidate the whole run (every task shares them), so
-  // fail fast with one line per problem instead of throwing mid-sweep.
-  {
-    system::SystemConfig probe = system::paper_system_config();
-    std::vector<std::string> errors;
-    if (!system::overlay_config(cli, probe, errors)) {
-      for (const std::string& e : errors) {
-        std::fprintf(stderr, "error: %s\n", e.c_str());
-      }
-      return 2;
-    }
-  }
-  const BenchEnv env = make_env(cli, bench.meta.name.c_str(),
-                                bench.meta.default_accesses);
-  std::vector<SuiteTask> tasks =
-      bench.tasks ? bench.tasks(env) : std::vector<SuiteTask>{};
-  std::vector<std::any> results = env.runner().map<std::any>(
-      tasks.size(), [&](std::size_t i) { return tasks[i](); });
-  const Table table = bench.format(env, results);
-  if (bench.preamble) {
-    std::fputs(bench.preamble(env, results).c_str(), stdout);
-  }
-  emit(table, env, bench.meta.title.c_str(), bench.meta.paper_note.c_str());
-  if (bench.epilogue) std::fputs(bench.epilogue(env, results).c_str(), stdout);
-  return 0;
-}
-
 }  // namespace hmcc::bench

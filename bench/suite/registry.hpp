@@ -1,19 +1,17 @@
 // Suite-level bench registry: every figure/ablation bench declares WHAT it
-// computes (a list of independent tasks plus a row formatter), and the
-// drivers decide HOW to schedule it.
+// computes (a list of independent tasks plus a row formatter), and
+// bench_suite decides HOW to schedule it.
 //
-// Two drivers share the registry:
-//  - standalone_main.cpp builds one bench binary per figure (bench_fig08,
-//    ...) that fans its own tasks out over SweepRunner, exactly like the
-//    pre-suite binaries did;
-//  - suite_main.cpp (bench_suite) submits ALL registered benches' tasks to
-//    ONE persistent thread pool and collects each bench's results in input
-//    order as its futures resolve.
+// One command runs the benches: run_suite() (the bench_suite binary) submits
+// the selected benches' tasks — all of them, or `only=<name>,...` — to ONE
+// persistent thread pool and collects each bench's results in input order
+// as its futures resolve. The bench-service daemon runs one bench per job
+// through service_adapter.hpp, and both print through render_bench().
 //
 // Because a bench's tasks are pure functions of its BenchEnv and results are
 // always collected per bench in input order, the table/CSV output of a bench
-// is byte-identical whichever driver ran it and whatever threads= was — the
-// suite removes the per-binary join barriers, not determinism.
+// is byte-identical whichever benches ran beside it and whatever threads=
+// was.
 #pragma once
 
 #include <any>
@@ -34,15 +32,15 @@ using SuiteTask = std::function<std::any()>;
 
 struct SuiteBench {
   /// Descriptive metadata (registry key, table heading, paper reference,
-  /// accesses= default) on the shared descriptor schema: `GET /benches`,
-  /// bench_suite, and the standalone drivers all read this ONE record.
+  /// accesses= default) on the shared descriptor schema: `GET /benches` and
+  /// bench_suite both read this ONE record.
   /// meta.name doubles as the CSV stem and suite filter key, e.g. "fig08".
   desc::BenchMeta meta{
       .name = {}, .title = {}, .paper_note = {}, .default_accesses = 15000};
-  /// False = registered (so --list, only=, the standalone binary, and the
-  /// daemon all reach it) but excluded from bench_suite's run-everything
-  /// default selection — for benches added after the suite's stdout+CSV
-  /// bundle was pinned by the byte-identity golden.
+  /// False = registered (so --list, only= and the daemon all reach it) but
+  /// excluded from bench_suite's run-everything default selection — for
+  /// benches added after the suite's stdout+CSV bundle was pinned by the
+  /// byte-identity golden.
   bool in_default_suite = true;
   /// Build this bench's tasks for @p env. May be empty (pure-arithmetic
   /// figures compute everything in format()).
@@ -64,20 +62,6 @@ struct SuiteBench {
       epilogue;
 };
 
-/// Machine-readable description of one accepted knob, served by the
-/// bench-service daemon's GET /benches so clients can build job requests
-/// without reading header comments.
-struct KnobInfo {
-  std::string name;   ///< the key= spelling, e.g. "accesses"
-  std::string kind;   ///< "uint" | "bool" | "enum" | "string"
-  std::string scope;  ///< "bench" (harness) or "platform" (SystemConfig)
-  std::string doc;    ///< one-line description
-};
-
-/// Every knob a bench accepts: the harness keys (accesses, seed, ...) plus
-/// every platform key overlay_config() consumes, in a stable order.
-const std::vector<KnobInfo>& suite_knob_info();
-
 /// All registered benches, in figure order (fig01..fig15, then ablations).
 const std::vector<SuiteBench>& suite_benches();
 
@@ -96,9 +80,22 @@ const T& result_as(const std::any& result) {
   return std::any_cast<const T&>(result);
 }
 
-/// Standalone driver: parse @p argv into the bench's env, fan the tasks out
-/// over SweepRunner (threads= knob), format, emit. Returns a process exit
-/// code.
-int run_standalone(const SuiteBench& bench, int argc, char** argv);
+/// The text one bench run prints: preamble, "=== title ===" header, paper
+/// note, @p table, then @p after_table, then epilogue. bench_suite passes
+/// its CSV note and blank separator line as @p after_table; the daemon's
+/// job payload passes "".
+std::string render_bench(const SuiteBench& bench, const BenchEnv& env,
+                         const Table& table, std::vector<std::any>& results,
+                         const std::string& after_table);
+
+/// Write @p body to @p file_name in the directory of env.csv_path, through
+/// a temp file and rename so a crash never leaves a torn file. Benches call
+/// it only when CSV output is on; a failed write warns on stderr.
+void write_beside_csv(const BenchEnv& env, const std::string& file_name,
+                      const std::string& body);
+
+/// The bench_suite command (usage in suite.cpp). Prints every selected
+/// bench to stdout and returns a process exit code.
+int run_suite(int argc, char** argv);
 
 }  // namespace hmcc::bench

@@ -34,10 +34,7 @@ system::JobOutput run_bench_job(const SuiteBench& bench,
   ctx.checkpoint();
   const Table table = bench.format(env, results);
   system::JobOutput out;
-  if (bench.preamble) out.text = bench.preamble(env, results);
-  out.text += "=== " + bench.meta.title + " ===\n" + bench.meta.paper_note +
-              "\n" + table.to_ascii();
-  if (bench.epilogue) out.text += bench.epilogue(env, results);
+  out.text = render_bench(bench, env, table, results, "");
   out.csv = table.to_csv();
   return out;
 }

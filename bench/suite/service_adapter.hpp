@@ -14,8 +14,9 @@ namespace hmcc::bench {
 /// Run @p bench with @p overrides applied on top of its defaults, fanning
 /// tasks out over @p ctx's runner. ctx.checkpoint() is honored before every
 /// task, so per-job timeouts and cancellation take effect between
-/// simulation points. Returns the text a standalone run would print plus
-/// the CSV rows; nothing touches the filesystem.
+/// simulation points. Returns the text `bench_suite only=<name>` prints,
+/// minus its CSV note and blank separator line, plus the CSV rows; nothing
+/// touches the filesystem.
 system::JobOutput run_bench_job(const SuiteBench& bench,
                                 const Config& overrides,
                                 const system::JobContext& ctx);
@@ -23,7 +24,9 @@ system::JobOutput run_bench_job(const SuiteBench& bench,
 /// Every registered bench wrapped for BenchService.
 std::vector<service::ServiceBench> service_benches();
 
-/// suite_knob_info() as the JSON array BenchService serves under "knobs".
+/// Every knob a bench accepts, as the JSON array BenchService serves under
+/// "knobs": the harness keys (accesses, seed, ...) then every platform key
+/// overlay_config() consumes, in table order.
 service::json::Value knob_metadata_json();
 
 }  // namespace hmcc::bench

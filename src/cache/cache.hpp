@@ -56,7 +56,6 @@ class Cache {
   std::optional<Addr> fill(Addr addr, bool dirty);
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const CacheConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] Addr line_addr(Addr addr) const noexcept {
     return align_down(addr, cfg_.line_bytes);
   }

@@ -58,7 +58,6 @@ class Hierarchy {
   /// True if the LLC currently holds @p line_addr.
   [[nodiscard]] bool llc_contains(Addr line_addr) const;
 
-  [[nodiscard]] const HierarchyConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const Cache& l1(std::uint32_t core) const {
     return *l1_[core];
   }

@@ -108,7 +108,6 @@ class MemoryCoalescer {
   /// CRQ-occupancy gauge), plus the dynamic-MSHR file's own descriptors.
   /// Sample functions read live state: the coalescer must outlive the set.
   [[nodiscard]] desc::StatSet stat_descriptors() const;
-  [[nodiscard]] const CoalescerConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const PipelinedSorter& sorter() const noexcept {
     return sorter_;
   }

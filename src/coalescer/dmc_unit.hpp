@@ -50,8 +50,6 @@ class DmcUnit {
   [[nodiscard]] DmcResult coalesce(std::span<const CoalescerRequest> sorted,
                                    Cycle start) const;
 
-  [[nodiscard]] const CoalescerConfig& config() const noexcept { return cfg_; }
-
  private:
   [[nodiscard]] DmcResult coalesce_lines(
       std::span<const CoalescerRequest> sorted, Cycle start) const;

@@ -78,7 +78,6 @@ class HmcDevice {
   /// @p on_response fires exactly once at completion time.
   void submit(const RequestPacket& pkt, ResponseCallback on_response);
 
-  [[nodiscard]] const HmcConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const AddressMap& address_map() const noexcept { return map_; }
 
   /// Snapshot wire statistics (bank counters are aggregated on demand).

@@ -56,8 +56,6 @@ class HybridBackend final : public MemoryBackend {
   /// hybrid-vs-hmc differential test filters on that prefix).
   [[nodiscard]] desc::StatSet stat_descriptors() const override;
 
-  [[nodiscard]] const MemConfig& config() const noexcept { return cfg_; }
-
  private:
   /// One way of the hot-page tag table.
   struct TagEntry {

@@ -49,7 +49,6 @@ class SlowTierDevice {
     return outstanding_;
   }
   [[nodiscard]] const SlowTierStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SlowTierConfig& config() const noexcept { return cfg_; }
 
  private:
   struct Channel {

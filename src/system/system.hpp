@@ -79,7 +79,6 @@ class System {
   /// a fresh System for every run.
   SystemReport run(const trace::MultiTrace& mtrace);
 
-  [[nodiscard]] const SystemConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }
 
   /// Per-System metrics registry: non-null iff cfg.obs.metrics. run()

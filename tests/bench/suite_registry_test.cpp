@@ -1,11 +1,14 @@
-// Suite registry invariants: both drivers (standalone binaries, bench_suite)
-// and the bench-service daemon consume the same registry, so its entries
-// must be complete and the drivers must agree byte-for-byte on output.
+// Suite registry invariants: bench_suite (run_suite) and the bench-service
+// daemon consume the same registry, so its entries must be complete and the
+// two must agree byte-for-byte on output.
 #include "suite/registry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -49,16 +52,20 @@ TEST(SuiteRegistry, EveryBenchIsFullyPopulated) {
   }
 }
 
-TEST(SuiteRegistry, KnobInfoCoversEveryAcceptedKey) {
-  const auto& knobs = suite_knob_info();
+TEST(SuiteRegistry, KnobMetadataCoversEveryAcceptedKey) {
+  const service::json::Value knobs = knob_metadata_json();
+  ASSERT_TRUE(knobs.is_array());
   std::set<std::string> seen;
   const std::set<std::string> kinds = {"uint", "bool", "enum", "string"};
-  for (const KnobInfo& k : knobs) {
-    SCOPED_TRACE(k.name);
-    EXPECT_TRUE(seen.insert(k.name).second) << "duplicate knob";
-    EXPECT_TRUE(kinds.count(k.kind)) << "bad kind " << k.kind;
-    EXPECT_TRUE(k.scope == "bench" || k.scope == "platform") << k.scope;
-    EXPECT_FALSE(k.doc.empty());
+  for (const service::json::Value& k : knobs.as_array()) {
+    const std::string& name = k.find("name")->as_string();
+    const std::string& kind = k.find("kind")->as_string();
+    const std::string& scope = k.find("scope")->as_string();
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate knob";
+    EXPECT_TRUE(kinds.count(kind)) << "bad kind " << kind;
+    EXPECT_TRUE(scope == "bench" || scope == "platform") << scope;
+    EXPECT_FALSE(k.find("doc")->as_string().empty());
   }
   // Exactly the keys the parsers accept: the harness keys plus every
   // platform key, nothing more, nothing missing.
@@ -68,26 +75,58 @@ TEST(SuiteRegistry, KnobInfoCoversEveryAcceptedKey) {
   for (const std::string& key : system::platform_cli_keys()) {
     EXPECT_TRUE(seen.count(key)) << "platform knob missing: " << key;
   }
-  EXPECT_EQ(knobs.size(),
+  EXPECT_EQ(knobs.as_array().size(),
             bench_cli_keys().size() + system::platform_cli_keys().size());
+  // threads= sizes bench_suite's pool; a daemon job has no use for it.
+  EXPECT_FALSE(seen.count("threads"));
 }
 
+// Run the bench_suite command in-process and hand back its stdout.
+int run_suite_captured(std::vector<std::string> args, std::string& out) {
+  args.insert(args.begin(), "bench_suite");
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (std::string& a : args) argv.push_back(a.data());
+  testing::internal::CaptureStdout();
+  const int rc = run_suite(static_cast<int>(argv.size()), argv.data());
+  out = testing::internal::GetCapturedStdout();
+  return rc;
+}
+
+// Each bench run on its own, as `bench_suite only=<name>` runs one figure.
 TEST(SuiteRegistry, StandaloneDriverSmokesEveryBench) {
   for (const SuiteBench& b : suite_benches()) {
     SCOPED_TRACE(b.meta.name);
-    std::vector<std::string> args = {"bench", kSmokeAccesses, "csv=",
-                                     "threads=1"};
-    std::vector<char*> argv;
-    argv.reserve(args.size());
-    for (std::string& a : args) argv.push_back(a.data());
-    testing::internal::CaptureStdout();
-    const int rc = run_standalone(b, static_cast<int>(argv.size()),
-                                  argv.data());
-    const std::string out = testing::internal::GetCapturedStdout();
+    std::string out;
+    testing::internal::CaptureStderr();
+    const int rc = run_suite_captured(
+        {"only=" + b.meta.name, kSmokeAccesses, "nocsv=1", "threads=1"}, out);
+    const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_EQ(rc, 0);
+    EXPECT_EQ(err.find("warning"), std::string::npos) << err;
     EXPECT_NE(out.find("=== " + b.meta.title + " ==="), std::string::npos);
     EXPECT_NE(out.find(b.meta.paper_note), std::string::npos);
   }
+}
+
+TEST(SuiteRegistry, AblationJsonLandsBesideTheCsv) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "hmcc_suite_csvdir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string out;
+  ASSERT_EQ(run_suite_captured({"only=ablation_hybrid", "accesses=300",
+                                "threads=2", "csvdir=" + dir.string()},
+                               out),
+            0);
+  EXPECT_TRUE(std::filesystem::exists(dir / "ablation_hybrid.csv"));
+  std::ifstream json(dir / "BENCH_hybrid.json");
+  ASSERT_TRUE(json.good()) << "BENCH_hybrid.json missing from csvdir";
+  std::stringstream body;
+  body << json.rdbuf();
+  EXPECT_EQ(body.str().rfind("{\"bench\": \"ablation_hybrid\"", 0), 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir / "BENCH_hybrid.json.tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 // Run a bench through the service adapter on a real JobManager (the only
@@ -109,9 +148,10 @@ system::JobOutput run_via_service(const SuiteBench& bench,
 }
 
 TEST(SuiteRegistry, ServiceDriverMatchesStandaloneByteForByte) {
-  // Neither bench has an epilogue, so the standalone stdout differs from the
-  // in-memory payload only by emit()'s trailing blank line. fig08 is a plain
-  // sweep bench; ablation_pipeline also prints a preamble before its header.
+  // With CSV output off, `bench_suite only=<name>` stdout differs from the
+  // in-memory payload only by the suite's trailing blank line. fig08 is a
+  // plain sweep bench; ablation_pipeline also prints a preamble before its
+  // header.
   for (const auto& [name, has_preamble] :
        {std::pair{"fig08", false}, std::pair{"ablation_pipeline", true}}) {
     SCOPED_TRACE(name);
@@ -120,15 +160,11 @@ TEST(SuiteRegistry, ServiceDriverMatchesStandaloneByteForByte) {
     ASSERT_EQ(static_cast<bool>(bench->preamble), has_preamble);
     ASSERT_FALSE(static_cast<bool>(bench->epilogue));
 
-    std::vector<std::string> args = {"bench", kSmokeAccesses, "seed=2",
-                                     "csv=", "threads=1"};
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    testing::internal::CaptureStdout();
-    ASSERT_EQ(run_standalone(*bench, static_cast<int>(argv.size()),
-                             argv.data()),
+    std::string standalone;
+    ASSERT_EQ(run_suite_captured({std::string("only=") + name, kSmokeAccesses,
+                                  "seed=2", "nocsv=1", "threads=1"},
+                                 standalone),
               0);
-    const std::string standalone = testing::internal::GetCapturedStdout();
 
     Config overrides;
     overrides.set("accesses", "400");
@@ -168,9 +204,6 @@ TEST(SuiteRegistry, ServiceBenchesMirrorTheRegistry) {
               static_cast<std::int64_t>(benches[i].meta.default_accesses));
     EXPECT_TRUE(static_cast<bool>(wrapped[i].run));
   }
-  const auto knobs = knob_metadata_json();
-  ASSERT_TRUE(knobs.is_array());
-  EXPECT_EQ(knobs.as_array().size(), suite_knob_info().size());
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "bench_util.hpp"
 #include "common/descriptor.hpp"
 #include "obs/metrics.hpp"
-#include "suite/registry.hpp"
+#include "suite/service_adapter.hpp"
 #include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 
@@ -258,7 +258,7 @@ TEST(PlatformKnobs, MetadataMatchesKeysAndCarriesDefaults) {
 
 TEST(BenchKnobs, TableCoversTheHistoricalKeys) {
   const std::vector<std::string> expected = {
-      "accesses", "seed",  "csv",   "threads",
+      "accesses", "seed",  "csv",
       "warps",    "warp_width", "lanes", "max_outstanding_warps"};
   EXPECT_EQ(bench::bench_cli_keys(), expected);
 }
@@ -266,40 +266,50 @@ TEST(BenchKnobs, TableCoversTheHistoricalKeys) {
 TEST(BenchKnobs, MakeEnvAppliesOverridesAndKeepsDefaultsOnErrors) {
   Config cli;
   cli.set("accesses", "1234");
-  cli.set("threads", "notanumber");  // rejected -> default kept (+ warning)
+  cli.set("seed", "notanumber");  // rejected -> default kept (+ warning)
   const bench::BenchEnv env = bench::make_env(cli, "figXX", 500);
   EXPECT_EQ(env.params.accesses_per_core, 1234u);
-  EXPECT_EQ(env.threads, 0u);
+  EXPECT_EQ(env.params.seed, 1u);
   EXPECT_EQ(env.csv_path, "figXX.csv");
 }
 
-// --- Suite metadata --------------------------------------------------------
+// --- Served knob metadata -------------------------------------------------
 
-TEST(SuiteKnobInfo, IsGeneratedFromBothTables) {
-  const auto& info = bench::suite_knob_info();
+// The daemon's GET /benches "knobs" array, one entry per knob.
+const service::json::Array& served_knobs() {
+  static const service::json::Value knobs = bench::knob_metadata_json();
+  return knobs.as_array();
+}
+
+std::string field(const service::json::Value& knob, const char* key) {
+  return knob.find(key)->as_string();
+}
+
+TEST(KnobMetadataJson, IsGeneratedFromBothTables) {
+  const auto& info = served_knobs();
   const auto& bench_meta = bench::bench_knob_metadata();
   const auto& platform_meta = system::platform_knob_metadata();
   ASSERT_EQ(info.size(), bench_meta.size() + platform_meta.size());
   for (std::size_t i = 0; i < bench_meta.size(); ++i) {
-    EXPECT_EQ(info[i].name, bench_meta[i].key);
-    EXPECT_EQ(info[i].kind, desc::to_string(bench_meta[i].kind));
-    EXPECT_EQ(info[i].doc, bench_meta[i].help);
+    EXPECT_EQ(field(info[i], "name"), bench_meta[i].key);
+    EXPECT_EQ(field(info[i], "kind"), desc::to_string(bench_meta[i].kind));
+    EXPECT_EQ(field(info[i], "doc"), bench_meta[i].help);
   }
   for (std::size_t i = 0; i < platform_meta.size(); ++i) {
     const auto& got = info[bench_meta.size() + i];
-    EXPECT_EQ(got.name, platform_meta[i].key);
-    EXPECT_EQ(got.kind, desc::to_string(platform_meta[i].kind));
-    EXPECT_EQ(got.scope, "platform");
+    EXPECT_EQ(field(got, "name"), platform_meta[i].key);
+    EXPECT_EQ(field(got, "kind"), desc::to_string(platform_meta[i].kind));
+    EXPECT_EQ(field(got, "scope"), "platform");
   }
 }
 
-TEST(SuiteKnobInfo, AdvertisesWarpAndTraceIoKnobs) {
+TEST(KnobMetadataJson, AdvertisesWarpAndTraceIoKnobs) {
   // Daemon jobs can shape the warp front-end and replay shipped .hmct
   // corpora; the served metadata must advertise all six knobs.
-  const auto& info = bench::suite_knob_info();
+  const auto& info = served_knobs();
   auto has = [&info](const char* name, const char* scope) {
     return std::any_of(info.begin(), info.end(), [&](const auto& k) {
-      return k.name == name && k.scope == scope;
+      return field(k, "name") == name && field(k, "scope") == scope;
     });
   };
   EXPECT_TRUE(has("warps", "bench"));
@@ -310,10 +320,11 @@ TEST(SuiteKnobInfo, AdvertisesWarpAndTraceIoKnobs) {
   EXPECT_TRUE(has("trace_replay", "platform"));
 }
 
-TEST(SuiteKnobInfo, AdvertisesTheSampleIntervalKnob) {
-  const auto& info = bench::suite_knob_info();
+TEST(KnobMetadataJson, AdvertisesTheSampleIntervalKnob) {
+  const auto& info = served_knobs();
   EXPECT_TRUE(std::any_of(info.begin(), info.end(), [](const auto& k) {
-    return k.name == "sample_interval" && k.scope == "platform";
+    return field(k, "name") == "sample_interval" &&
+           field(k, "scope") == "platform";
   }));
 }
 
