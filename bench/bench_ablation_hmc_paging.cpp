@@ -20,7 +20,7 @@ SuiteBench make_ablation_hmc_paging() {
   b.meta.default_accesses = 8000;
   b.tasks = [](const BenchEnv& env) {
     const std::vector<std::string> names = {"stream", "ft", "sg"};
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : names) {
       for (const bool closed : {true, false}) {
         system::SystemConfig conv = env.base_config();

@@ -61,7 +61,7 @@ SuiteBench make_ablation_hybrid() {
   b.meta.default_accesses = 6000;
   b.in_default_suite = false;  // keeps the pinned suite bundle unchanged
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const char* name : kNames) {
       for (const mem::HybridScheme scheme : kSchemes) {
         for (const system::CoalescerMode mode : kModes) {

@@ -21,7 +21,7 @@ SuiteBench make_ablation_pipeline() {
   b.meta.default_accesses = 8000;
   b.tasks = [](const BenchEnv& env) {
     const std::vector<std::string> names = {"stream", "ft", "hpcg"};
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : names) {
       system::SystemConfig a = env.base_config();
       a.coalescer.pipeline_shape = coalescer::PipelineShape::kPerStage;

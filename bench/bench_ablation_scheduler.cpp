@@ -42,7 +42,7 @@ SuiteBench make_ablation_scheduler() {
       "behind, the quadrant NoC charges hops coalescing amortizes";
   b.meta.default_accesses = 6000;
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const char* name : kNames) {
       for (const hmc::SchedPolicy sched : kPolicies) {
         for (const hmc::NocModel noc : kNocs) {

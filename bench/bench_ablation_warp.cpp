@@ -42,7 +42,7 @@ SuiteBench make_ablation_warp() {
       "pre-packed";
   b.meta.default_accesses = 4000;
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const char* name : kNames) {
       for (const std::uint32_t width : kWidths) {
         for (const std::uint32_t window : kWindows) {

@@ -17,7 +17,7 @@ SuiteBench make_fig08() {
       "paper averages: MSHR 31.53% | DMC 38.13% | two-phase 47.47% "
       "(FT best, 75.52%)";
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
       for (const auto mode :
            {system::CoalescerMode::kConventional,

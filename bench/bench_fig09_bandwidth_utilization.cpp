@@ -5,54 +5,14 @@
 // requested-data granularity raises the average to 27.73% (~4x), with HPCG a
 // notable laggard at 20.02% because its payloads are mostly 16 B.
 //
-// Method (as in the paper): the raw series is Equation (1) measured on the
-// conventional-MSHR run; the coalesced series re-coalesces the same LLC miss
-// stream at payload granularity (16 B FLIT multiples) through the DMC unit
-// in window-sized batches.
-#include <algorithm>
-
+// Method (as in the paper): one conventional-MSHR run per workload feeds
+// both series. The raw series is Equation (1) from its report; the
+// coalesced series re-coalesces its LLC miss stream at payload granularity
+// (16 B FLIT multiples) in window-sized batches (payload_packets()).
 #include "suite/benches.hpp"
-
-#include "coalescer/dmc_unit.hpp"
 
 namespace hmcc::bench {
 namespace {
-
-/// Offline payload-granularity coalescing of a captured miss stream.
-struct PayloadAnalysis {
-  std::uint64_t payload = 0;
-  std::uint64_t transferred = 0;
-  [[nodiscard]] double efficiency() const {
-    return transferred ? static_cast<double>(payload) /
-                             static_cast<double>(transferred)
-                       : 0.0;
-  }
-};
-
-PayloadAnalysis analyze(const std::vector<coalescer::CoalescerRequest>& reqs,
-                        std::uint32_t window) {
-  coalescer::CoalescerConfig cfg;
-  cfg.granularity = coalescer::Granularity::kPayload;
-  coalescer::DmcUnit dmc(cfg);
-  PayloadAnalysis out;
-  for (std::size_t i = 0; i < reqs.size(); i += window) {
-    const std::size_t end = std::min(reqs.size(), i + window);
-    std::vector<coalescer::CoalescerRequest> batch(
-        reqs.begin() + static_cast<std::ptrdiff_t>(i),
-        reqs.begin() + static_cast<std::ptrdiff_t>(end));
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const coalescer::CoalescerRequest& a,
-                        const coalescer::CoalescerRequest& b) {
-                       return a.sort_key() < b.sort_key();
-                     });
-    const coalescer::DmcResult res = dmc.coalesce(batch, 0);
-    for (const auto& pkt : res.packets) {
-      out.payload += pkt.payload_bytes();
-      out.transferred += pkt.bytes + hmcspec::kControlBytesPerTransaction;
-    }
-  }
-  return out;
-}
 
 struct Fig09Row {
   double raw_eff = 0;
@@ -74,23 +34,24 @@ SuiteBench make_fig09() {
       system::SystemConfig conv = env.base_config();
       system::apply_mode(conv, system::CoalescerMode::kConventional);
       tasks.push_back([name, conv, params = env.params] {
-        // Raw series: conventional run, Equation (1) with actual payloads.
-        const auto raw = system::run_workload(name, conv, params);
-
-        // Coalesced series: capture the miss stream of the same workload
-        // and re-coalesce it at payload granularity.
-        auto gen = workloads::make_workload(name);
-        workloads::WorkloadParams p = params;
-        p.num_cores = conv.hierarchy.num_cores;
-        const trace::MultiTrace mtrace = gen->generate(p);
         std::vector<coalescer::CoalescerRequest> stream;
-        system::System sys(conv);
-        sys.set_miss_hook([&stream](const coalescer::CoalescerRequest& r,
-                                    std::uint32_t) { stream.push_back(r); });
-        (void)sys.run(mtrace);
-        const PayloadAnalysis coal = analyze(stream, conv.coalescer.window);
-        return std::any(Fig09Row{raw.report.payload_bandwidth_efficiency(),
-                                 coal.efficiency()});
+        const auto raw = system::run_workload(
+            name, conv, params,
+            [&stream](const coalescer::CoalescerRequest& r, std::uint32_t) {
+              stream.push_back(r);
+            });
+        std::uint64_t payload = 0;
+        std::uint64_t transferred = 0;
+        for (const auto& pkt : payload_packets(stream, conv.coalescer.window)) {
+          payload += pkt.payload_bytes();
+          transferred += pkt.bytes + hmcspec::kControlBytesPerTransaction;
+        }
+        const double coal_eff = transferred
+                                    ? static_cast<double>(payload) /
+                                          static_cast<double>(transferred)
+                                    : 0.0;
+        return std::any(
+            Fig09Row{raw.report.payload_bandwidth_efficiency(), coal_eff});
       });
     }
     return tasks;

@@ -4,13 +4,10 @@
 // (not the cache-line size) shows the majority of requests are small —
 // 40.25% of the coalesced requests are 16 B loads — explaining why HPCG's
 // bandwidth efficiency (20.02%) trails its coalescing efficiency (42.35%).
-#include <algorithm>
 #include <cstdio>
 #include <map>
 
 #include "suite/benches.hpp"
-
-#include "coalescer/dmc_unit.hpp"
 
 namespace hmcc::bench {
 namespace {
@@ -33,36 +30,16 @@ SuiteBench make_fig10() {
     system::apply_mode(cfg, system::CoalescerMode::kConventional);
     std::vector<SuiteTask> tasks;
     tasks.push_back([cfg, params = env.params] {
-      auto gen = workloads::make_workload("hpcg");
-      workloads::WorkloadParams p = params;
-      p.num_cores = cfg.hierarchy.num_cores;
-      const trace::MultiTrace mtrace = gen->generate(p);
-
       std::vector<coalescer::CoalescerRequest> stream;
-      system::System sys(cfg);
-      sys.set_miss_hook([&stream](const coalescer::CoalescerRequest& r,
-                                  std::uint32_t) { stream.push_back(r); });
-      (void)sys.run(mtrace);
-
-      // Payload-granularity coalescing in window-sized batches.
-      coalescer::CoalescerConfig ccfg;
-      ccfg.granularity = coalescer::Granularity::kPayload;
-      coalescer::DmcUnit dmc(ccfg);
+      (void)system::run_workload(
+          "hpcg", cfg, params,
+          [&stream](const coalescer::CoalescerRequest& r, std::uint32_t) {
+            stream.push_back(r);
+          });
       Fig10Histogram hist;
-      for (std::size_t i = 0; i < stream.size(); i += ccfg.window) {
-        const std::size_t end = std::min(stream.size(), i + ccfg.window);
-        std::vector<coalescer::CoalescerRequest> batch(
-            stream.begin() + static_cast<std::ptrdiff_t>(i),
-            stream.begin() + static_cast<std::ptrdiff_t>(end));
-        std::stable_sort(batch.begin(), batch.end(),
-                         [](const coalescer::CoalescerRequest& lhs,
-                            const coalescer::CoalescerRequest& rhs) {
-                           return lhs.sort_key() < rhs.sort_key();
-                         });
-        for (const auto& pkt : dmc.coalesce(batch, 0).packets) {
-          ++hist.by_size_type[{pkt.bytes, pkt.type == ReqType::kLoad}];
-          ++hist.total;
-        }
+      for (const auto& pkt : payload_packets(stream, cfg.coalescer.window)) {
+        ++hist.by_size_type[{pkt.bytes, pkt.type == ReqType::kLoad}];
+        ++hist.total;
       }
       return std::any(std::move(hist));
     });

@@ -17,7 +17,7 @@ SuiteBench make_fig11() {
       "paper: 33.25 GB average saving; LU and SP largest (their "
       "traces are the biggest) — compare ordering, not absolutes";
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
       system::SystemConfig conv = env.base_config();
       system::apply_mode(conv, system::CoalescerMode::kConventional);

@@ -14,7 +14,7 @@ SuiteBench make_fig12() {
   b.meta.paper_note =
       "paper: 7.1 ns average, all benchmarks below 9 ns at 3.3 GHz";
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
       system::SystemConfig full = env.base_config();
       system::apply_mode(full, system::CoalescerMode::kFull);

@@ -16,7 +16,7 @@ SuiteBench make_fig13() {
       "paper: 15.86 ns average; FT worst (34.76 ns) because high "
       "coalescing spends more merge-stage time";
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
       system::SystemConfig full = env.base_config();
       system::apply_mode(full, system::CoalescerMode::kFull);

@@ -16,7 +16,7 @@ SuiteBench make_fig14() {
   b.meta.paper_note = "paper: latency flat for T<=24, rises at T=28 (except FT)";
   b.tasks = [](const BenchEnv& env) {
     const Cycle timeouts[] = {16, 20, 24, 28};
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
       for (std::size_t t = 0; t < 4; ++t) {
         system::SystemConfig full = env.base_config();

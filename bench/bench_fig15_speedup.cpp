@@ -13,7 +13,7 @@ SuiteBench make_fig15() {
   b.meta.title = "Figure 15: Performance Improvement";
   b.meta.paper_note = "paper: 13.14% average; FT 25.43%, SparseLU 22.21% best";
   b.tasks = [](const BenchEnv& env) {
-    std::vector<system::SweepRunner::Point> points;
+    std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
       system::SystemConfig conv = env.base_config();
       system::apply_mode(conv, system::CoalescerMode::kConventional);

@@ -18,14 +18,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "coalescer/dmc_unit.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "system/config_bridge.hpp"
 #include "system/runner.hpp"
-#include "system/sweep_runner.hpp"
 #include "workloads/warp.hpp"
 #include "workloads/workload.hpp"
 
@@ -153,6 +154,32 @@ inline BenchEnv make_env(const Config& cli, const char* bench_name,
     }
   }
   return env;
+}
+
+/// Payload-granularity coalescing of a captured LLC miss stream, the
+/// paper's method for Figures 9-10: cut @p stream into batches of @p window
+/// requests in arrival order, sort each batch by sort key and merge it with
+/// coalescer::coalesce_payload(). Returns every batch's packets in order.
+inline std::vector<coalescer::CoalescedPacket> payload_packets(
+    const std::vector<coalescer::CoalescerRequest>& stream,
+    std::size_t window) {
+  const coalescer::CoalescerConfig cfg;
+  std::vector<coalescer::CoalescedPacket> packets;
+  for (std::size_t i = 0; i < stream.size(); i += window) {
+    const std::size_t end = std::min(stream.size(), i + window);
+    std::vector<coalescer::CoalescerRequest> batch(
+        stream.begin() + static_cast<std::ptrdiff_t>(i),
+        stream.begin() + static_cast<std::ptrdiff_t>(end));
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const coalescer::CoalescerRequest& a,
+                        const coalescer::CoalescerRequest& b) {
+                       return a.sort_key() < b.sort_key();
+                     });
+    coalescer::DmcResult res = coalescer::coalesce_payload(cfg, batch, 0);
+    packets.insert(packets.end(), std::make_move_iterator(res.packets.begin()),
+                   std::make_move_iterator(res.packets.end()));
+  }
+  return packets;
 }
 
 }  // namespace hmcc::bench

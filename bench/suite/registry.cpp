@@ -1,5 +1,8 @@
 #include "suite/registry.hpp"
 
+#include <exception>
+#include <utility>
+
 #include "suite/benches.hpp"
 
 namespace hmcc::bench {
@@ -32,16 +35,45 @@ const SuiteBench* find_bench(const std::string& name) {
   return nullptr;
 }
 
-std::vector<SuiteTask> run_point_tasks(
-    std::vector<system::SweepRunner::Point> points) {
+std::vector<SuiteTask> run_point_tasks(std::vector<Point> points) {
   std::vector<SuiteTask> tasks;
   tasks.reserve(points.size());
-  for (system::SweepRunner::Point& p : points) {
+  for (Point& p : points) {
     tasks.push_back([p = std::move(p)] {
       return std::any(system::run_workload(p.workload, p.cfg, p.params));
     });
   }
   return tasks;
+}
+
+std::vector<std::future<std::any>> submit_tasks(
+    ThreadPool& pool, std::vector<SuiteTask> tasks,
+    const std::function<void()>& before_each) {
+  std::vector<std::future<std::any>> futures;
+  futures.reserve(tasks.size());
+  for (SuiteTask& t : tasks) {
+    futures.push_back(pool.submit([t = std::move(t), before_each] {
+      if (before_each) before_each();
+      return t();
+    }));
+  }
+  return futures;
+}
+
+std::vector<std::any> collect_tasks(
+    std::vector<std::future<std::any>> futures) {
+  std::vector<std::any> results;
+  results.reserve(futures.size());
+  std::exception_ptr error;
+  for (std::future<std::any>& f : futures) {
+    try {
+      results.push_back(f.get());
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  return results;
 }
 
 }  // namespace hmcc::bench

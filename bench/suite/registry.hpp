@@ -6,7 +6,8 @@
 // the selected benches' tasks — all of them, or `only=<name>,...` — to ONE
 // persistent thread pool and collects each bench's results in input order
 // as its futures resolve. The bench-service daemon runs one bench per job
-// through service_adapter.hpp, and both print through render_bench().
+// through service_adapter.hpp. Both drivers fan tasks out through
+// submit_tasks()/collect_tasks() and print through render_bench().
 //
 // Because a bench's tasks are pure functions of its BenchEnv and results are
 // always collected per bench in input order, the table/CSV output of a bench
@@ -17,11 +18,13 @@
 #include <any>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/descriptor.hpp"
+#include "common/thread_pool.hpp"
 
 namespace hmcc::bench {
 
@@ -68,10 +71,29 @@ const std::vector<SuiteBench>& suite_benches();
 /// Registry lookup by SuiteBench::name; nullptr when unknown.
 const SuiteBench* find_bench(const std::string& name);
 
-/// Wrap sweep points into tasks that run run_workload — the shape most
-/// figure benches share.
-std::vector<SuiteTask> run_point_tasks(
-    std::vector<system::SweepRunner::Point> points);
+/// One simulation point of a bench: run_workload(workload, cfg, params).
+struct Point {
+  std::string workload;
+  system::SystemConfig cfg;
+  workloads::WorkloadParams params;
+};
+
+/// Wrap points into tasks that run run_workload — the shape most figure
+/// benches share.
+std::vector<SuiteTask> run_point_tasks(std::vector<Point> points);
+
+/// Submit @p tasks to @p pool in order. A non-empty @p before_each runs on
+/// the worker just before each task; if it throws, that task does not run
+/// and its future carries the exception (the daemon passes the job's
+/// timeout/cancel checkpoint here).
+std::vector<std::future<std::any>> submit_tasks(
+    ThreadPool& pool, std::vector<SuiteTask> tasks,
+    const std::function<void()>& before_each = {});
+
+/// Wait for every future, then return the results in input order, or
+/// rethrow the lowest-index task's exception once every task has finished.
+std::vector<std::any> collect_tasks(
+    std::vector<std::future<std::any>> futures);
 
 /// Fetch a task result in format(): results are RunResult for
 /// run_point_tasks benches, bench-defined structs otherwise.

@@ -18,18 +18,15 @@ system::JobOutput run_bench_job(const SuiteBench& bench,
   std::vector<SuiteTask> tasks =
       bench.tasks ? bench.tasks(env) : std::vector<SuiteTask>{};
   // Each task is one progress point for GET /jobs/<id>; the checkpoint
-  // counter over-counts by the bookkeeping checkpoints around the loop and
+  // counter over-counts by the bookkeeping checkpoints around the tasks and
   // the snapshot clamps it to this total.
   ctx.set_points_total(tasks.size());
   // The checkpoint before each task is the cooperative timeout/cancel
-  // boundary: a timed-out job stops claiming new points, in-flight points
-  // finish (SweepRunner's failure path), and the JobManager maps the
-  // JobTimeoutError that surfaces here to JobState::kTimeout.
-  std::vector<std::any> results = ctx.runner().map<std::any>(
-      tasks.size(), [&](std::size_t i) {
-        ctx.checkpoint();
-        return tasks[i]();
-      });
+  // boundary: after a timeout every remaining task throws there, running
+  // tasks finish, and the JobManager maps the JobTimeoutError that
+  // collect_tasks() rethrows to JobState::kTimeout.
+  std::vector<std::any> results = collect_tasks(submit_tasks(
+      ctx.pool(), std::move(tasks), [&ctx] { ctx.checkpoint(); }));
 
   ctx.checkpoint();
   const Table table = bench.format(env, results);

@@ -1,7 +1,7 @@
 // Adapter from the suite registry to the bench-service daemon: every
 // registered SuiteBench becomes a ServiceBench whose run function executes
-// the bench entirely in memory (no CSV files, no stdout) and whose metadata
-// feeds GET /benches.
+// the bench entirely in memory (no CSV files, no stdout) on the
+// JobManager's task pool, and whose metadata feeds GET /benches.
 #pragma once
 
 #include <vector>
@@ -12,7 +12,7 @@
 namespace hmcc::bench {
 
 /// Run @p bench with @p overrides applied on top of its defaults, fanning
-/// tasks out over @p ctx's runner. ctx.checkpoint() is honored before every
+/// tasks out over @p ctx's task pool. ctx.checkpoint() runs before every
 /// task, so per-job timeouts and cancellation take effect between
 /// simulation points. Returns the text `bench_suite only=<name>` prints,
 /// minus its CSV note and blank separator line, plus the CSV rows; nothing

@@ -4,9 +4,9 @@
 // twice: every run joins its own thread pool before the next one starts (a
 // straggler point idles all other workers), and every process re-pays
 // thread spawn. run_suite() submits ALL selected benches' tasks to one
-// persistent common::ThreadPool up front, then collects and formats each
-// bench's results in selection order as its futures resolve — bench N's
-// table is printed while bench N+1's points are still computing.
+// persistent common::ThreadPool up front (submit_tasks), then collects and
+// formats each bench's results in selection order (collect_tasks) — bench
+// N's table is printed while bench N+1's points are still computing.
 //
 // A bench's output is the same whichever benches run beside it (same envs,
 // same per-bench input-order collection), for any threads=.
@@ -188,8 +188,7 @@ int run_suite(int argc, char** argv) {
     std::vector<SuiteTask> tasks =
         b->tasks ? b->tasks(s.env) : std::vector<SuiteTask>{};
     total_tasks += tasks.size();
-    s.futures.reserve(tasks.size());
-    for (SuiteTask& t : tasks) s.futures.push_back(pool.submit(std::move(t)));
+    s.futures = submit_tasks(pool, std::move(tasks));
     scheduled.push_back(std::move(s));
   }
   std::fprintf(stderr, "bench_suite: %zu benches, %zu points, %u threads\n",
@@ -206,9 +205,7 @@ int run_suite(int argc, char** argv) {
   for (Scheduled& s : scheduled) {
     const std::size_t bench_tasks = s.futures.size();
     try {
-      std::vector<std::any> results;
-      results.reserve(s.futures.size());
-      for (std::future<std::any>& f : s.futures) results.push_back(f.get());
+      std::vector<std::any> results = collect_tasks(std::move(s.futures));
       const Table table = s.bench->format(s.env, results);
       std::string csv_note;
       if (!s.env.csv_path.empty() && table.write_csv(s.env.csv_path)) {
@@ -234,15 +231,6 @@ int run_suite(int argc, char** argv) {
             .inc(bench_tasks);
       }
     } catch (const std::exception& e) {
-      // Drain this bench's remaining futures so later benches still report.
-      for (std::future<std::any>& f : s.futures) {
-        if (f.valid()) {
-          try {
-            (void)f.get();
-          } catch (...) {
-          }
-        }
-      }
       std::fprintf(stderr, "error: bench %s failed: %s\n",
                    s.bench->meta.name.c_str(), e.what());
       ++failures;

@@ -19,9 +19,6 @@ MemoryCoalescer::MemoryCoalescer(Kernel& kernel, CoalescerConfig cfg,
       dmc_(cfg),
       mshrs_(cfg),
       crq_(cfg.num_mshrs) {
-  assert(cfg_.granularity == Granularity::kLine &&
-         "the runtime coalescer operates at line granularity; payload "
-         "granularity is a standalone DmcUnit accounting mode");
   assert(issue_ && complete_);
   window_.reserve(cfg_.window);
 }

@@ -7,16 +7,6 @@
 
 namespace hmcc::coalescer {
 
-/// How the DMC unit merges requests.
-enum class Granularity : std::uint8_t {
-  /// Cache-line granularity: packets of 1/2/4 lines (64/128/256 B), the
-  /// mode used by the runtime path (Figures 8, 11-15).
-  kLine,
-  /// Actual-payload granularity (16 B FLIT multiples), used by the paper for
-  /// Figures 9-10 ("coalesce ... based on the actual requested data size").
-  kPayload,
-};
-
 /// Pipeline organization of the sorting network (paper §4.1 ablation).
 enum class PipelineShape : std::uint8_t {
   /// One pipeline stage per odd-even-mergesort *stage* (4 stages for n=16,
@@ -53,7 +43,6 @@ struct CoalescerConfig {
   /// they have room and the CRQ is empty (paper §4.2).
   bool enable_bypass = false;
 
-  Granularity granularity = Granularity::kLine;
   PipelineShape pipeline_shape = PipelineShape::kPerStage;
 
   [[nodiscard]] std::uint32_t max_lines_per_packet() const noexcept {

@@ -8,19 +8,6 @@
 
 namespace hmcc::coalescer {
 
-DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
-                            Cycle start) const {
-  // Precondition: ascending sort-key order (checked in debug builds).
-#ifndef NDEBUG
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    assert(sorted[i - 1].sort_key() <= sorted[i].sort_key());
-  }
-#endif
-  return cfg_.granularity == Granularity::kLine
-             ? coalesce_lines(sorted, start)
-             : coalesce_payload(sorted, start);
-}
-
 void packetize_line_run(const CoalescerConfig& cfg, Addr first_line_addr,
                         std::span<std::vector<CoalescerRequest>> lines,
                         ReqType type, Cycle ready_at,
@@ -51,8 +38,14 @@ void packetize_line_run(const CoalescerConfig& cfg, Addr first_line_addr,
   }
 }
 
-DmcResult DmcUnit::coalesce_lines(std::span<const CoalescerRequest> sorted,
-                                  Cycle start) const {
+DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
+                            Cycle start) const {
+  // Precondition: ascending sort-key order (checked in debug builds).
+#ifndef NDEBUG
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    assert(sorted[i - 1].sort_key() <= sorted[i].sort_key());
+  }
+#endif
   DmcResult result;
   const std::uint32_t line = cfg_.line_bytes;
   const Addr block = cfg_.max_packet_bytes;
@@ -104,12 +97,18 @@ DmcResult DmcUnit::coalesce_lines(std::span<const CoalescerRequest> sorted,
   return result;
 }
 
-DmcResult DmcUnit::coalesce_payload(std::span<const CoalescerRequest> sorted,
-                                    Cycle start) const {
+DmcResult coalesce_payload(const CoalescerConfig& cfg,
+                           std::span<const CoalescerRequest> sorted,
+                           Cycle start) {
+  assert(std::is_sorted(sorted.begin(), sorted.end(),
+                        [](const CoalescerRequest& a,
+                           const CoalescerRequest& b) {
+                          return a.sort_key() < b.sort_key();
+                        }));
   DmcResult result;
-  const Addr block = cfg_.max_packet_bytes;
+  const Addr block = cfg.max_packet_bytes;
   const Addr flit = hmcspec::kFlitBytes;
-  Cycle t = start + cfg_.tau;
+  Cycle t = start + cfg.tau;
 
   struct Extent {
     Addr base = 0;  ///< FLIT-aligned start
@@ -161,18 +160,18 @@ DmcResult DmcUnit::coalesce_payload(std::span<const CoalescerRequest> sorted,
   for (const CoalescerRequest& r : reqs) {
     const Addr r_base = align_down(r.addr, flit);
     const Addr r_end = r.addr + r.payload_bytes;
-    t += cfg_.tau;  // compare slot
+    t += cfg.tau;  // compare slot
     if (cur.open && r.type == cur.type && r.addr <= align_up(cur.end, flit) &&
         align_down(r_base, block) == align_down(cur.base, block) &&
         align_up(std::max(cur.end, r_end), flit) - cur.base <=
-            cfg_.max_packet_bytes) {
+            cfg.max_packet_bytes) {
       cur.end = std::max(cur.end, r_end);
       cur.constituents.push_back(r);
-      t += cfg_.tau;  // merge stage
+      t += cfg.tau;  // merge stage
       ++result.merge_ops;
       continue;
     }
-    emit(t - cfg_.tau);
+    emit(t - cfg.tau);
     cur.open = true;
     cur.base = r_base;
     cur.end = r_end;

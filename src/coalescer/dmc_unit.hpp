@@ -2,11 +2,11 @@
 //
 // Consumes the *sorted* request window and merges identical / contiguous
 // same-type requests into HMC packets, never crossing a max-packet (256 B)
-// block boundary.  Two granularities:
-//   kLine    - requests are 64 B lines; packets are 1/2/4 lines (the 2-bit
-//              size encoding 00/01/10 of the dynamic MSHRs);
-//   kPayload - requests are raw byte extents; packets are FLIT multiples
-//              (16..128, 256), the accounting mode of Figures 9-10.
+// block boundary. DmcUnit works at line granularity, the runtime path:
+// requests are 64 B lines and packets are 1/2/4 lines (the 2-bit size
+// encoding 00/01/10 of the dynamic MSHRs). coalesce_payload() is the
+// offline accounting mode of Figures 9-10: requests are raw byte extents
+// and packets are FLIT multiples (16..128, 256).
 //
 // Timing (paper §4.2): a two-stage compare/merge pipeline at tau cycles per
 // operation. Every request spends a compare slot; a request that coalesces
@@ -41,6 +41,14 @@ void packetize_line_run(const CoalescerConfig& cfg, Addr first_line_addr,
                         ReqType type, Cycle ready_at,
                         std::vector<CoalescedPacket>& out);
 
+/// Payload-granularity coalescing, the paper's accounting for Figures 9-10
+/// ("coalesce ... based on the actual requested data size"): merge @p sorted
+/// (ascending by sort key) into FLIT-multiple packets with the same
+/// two-stage compare/merge timing as DmcUnit, starting at cycle @p start.
+[[nodiscard]] DmcResult coalesce_payload(
+    const CoalescerConfig& cfg, std::span<const CoalescerRequest> sorted,
+    Cycle start);
+
 class DmcUnit {
  public:
   explicit DmcUnit(const CoalescerConfig& cfg) noexcept : cfg_(cfg) {}
@@ -51,11 +59,6 @@ class DmcUnit {
                                    Cycle start) const;
 
  private:
-  [[nodiscard]] DmcResult coalesce_lines(
-      std::span<const CoalescerRequest> sorted, Cycle start) const;
-  [[nodiscard]] DmcResult coalesce_payload(
-      std::span<const CoalescerRequest> sorted, Cycle start) const;
-
   CoalescerConfig cfg_;
 };
 

@@ -44,7 +44,8 @@ inline constexpr std::uint64_t kInvalidKey = ~0ULL >> (63 - kValidBit);
 /// A miss / write-back request arriving at the coalescer from the LLC.
 struct CoalescerRequest {
   ReqId id = 0;
-  /// Byte address of the access. Line-aligned in kLine granularity mode.
+  /// Byte address of the access. MemoryCoalescer::submit() line-aligns it;
+  /// coalesce_payload() works on the raw byte address.
   Addr addr = 0;
   /// Bytes the CPU actually asked for (<= line size); drives the
   /// bandwidth-efficiency accounting of Figures 9-10.

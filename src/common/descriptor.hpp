@@ -300,10 +300,10 @@ bool check_constraints(const std::vector<Constraint<Target>>& constraints,
 // ---------------------------------------------------------------------------
 
 /// Descriptive metadata for one registered benchmark — the same record backs
-/// the standalone `--list` output, `bench_suite`, and the daemon's
-/// GET /benches, so the three can never drift.
+/// `bench_suite --list`, the heading `bench_suite only=<name>` prints, and
+/// the daemon's GET /benches, so the three can never drift.
 struct BenchMeta {
-  std::string name;        ///< registry key, e.g. "bench_radix"
+  std::string name;        ///< registry key, e.g. "fig08"
   std::string title;       ///< one-line human description
   std::string paper_note;  ///< which figure/table the bench reproduces
   std::uint64_t default_accesses = 0;  ///< workload size when accesses= absent

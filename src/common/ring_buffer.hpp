@@ -1,7 +1,7 @@
 // Fixed-capacity FIFO ring buffer.
 //
-// Used for the Coalesced Request Queue (CRQ) and the cache miss / write-back
-// queues, all of which the paper sizes statically in hardware.
+// Used for the Coalesced Request Queue (CRQ), which the paper sizes
+// statically in hardware (one slot per dynamic MSHR entry).
 #pragma once
 
 #include <cassert>

@@ -1,11 +1,12 @@
 // Persistent worker-thread pool with a bounded, future-returning work queue.
 //
-// SweepRunner and the bench-suite driver fan simulation points out over host
-// threads. Spawning a std::thread per point (or per sweep) pays a measurable
-// spawn/join cost once sweeps get small and frequent, and a mid-spawn
-// exception leaks already-started threads straight into std::terminate. The
-// pool makes thread creation a one-time cost and funnels every hazard into
-// one tested place:
+// bench_suite and the daemon's JobManager each fan simulation points out
+// over a pool (bench/suite/registry.hpp's submit_tasks/collect_tasks), and
+// the JobManager dispatches its jobs on a second one. Spawning a
+// std::thread per point pays a spawn/join cost for every point, and a
+// mid-spawn exception leaks already-started threads straight into
+// std::terminate. The pool makes thread creation a one-time cost and
+// funnels every hazard into one tested place:
 //
 //  - construction is exception-safe: if the Nth worker fails to start, the
 //    N-1 running workers are shut down and joined before the ctor rethrows;

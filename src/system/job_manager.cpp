@@ -25,15 +25,17 @@ bool is_terminal(JobState s) noexcept {
 }
 
 void JobContext::checkpoint() const {
-  progress_->done.fetch_add(1, std::memory_order_relaxed);
-  if (checkpoint_counter_ != nullptr) checkpoint_counter_->inc();
+  // Test before counting: every task of a stopped job still reaches its
+  // checkpoint, and none of them may count as a point done.
   if (cancelled()) throw JobCancelledError("job cancelled");
   if (timed_out()) throw JobTimeoutError("job wall-clock budget exceeded");
+  progress_->done.fetch_add(1, std::memory_order_relaxed);
+  if (checkpoint_counter_ != nullptr) checkpoint_counter_->inc();
 }
 
 JobManager::JobManager(const Options& opts)
     : opts_(opts),
-      runner_(opts.sweep_threads),
+      tasks_(opts.sweep_threads),
       dispatch_(opts.job_workers == 0 ? 1 : opts.job_workers,
                 opts.max_queued_jobs) {
   if (opts_.metrics != nullptr) {
@@ -107,7 +109,7 @@ void JobManager::run_job(std::uint64_t id, const JobFn& fn) {
   // admitted: a job queued behind a long-running one must not time out
   // without having run a single task.
   const bool has_deadline = timeout.count() > 0;
-  const JobContext ctx(&runner_, cancel.get(), progress.get(),
+  const JobContext ctx(&tasks_, cancel.get(), progress.get(),
                        counters_.checkpoints,
                        std::chrono::steady_clock::now() + timeout,
                        has_deadline);
@@ -229,11 +231,9 @@ JobManager::Occupancy JobManager::occupancy() const {
   }
   occ.job_workers = dispatch_.threads();
   occ.max_queued_jobs = opts_.max_queued_jobs;
-  occ.sweep_threads = runner_.threads();
-  if (const auto& pool = runner_.pool()) {
-    occ.sweep_active = pool->active();
-    occ.sweep_queued = pool->queued();
-  }
+  occ.sweep_threads = tasks_.threads();
+  occ.sweep_active = tasks_.active();
+  occ.sweep_queued = tasks_.queued();
   return occ;
 }
 

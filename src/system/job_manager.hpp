@@ -2,22 +2,24 @@
 // wall-clock timeouts and cooperative cancellation.
 //
 // The bench-service daemon (src/service) submits one job per HTTP POST and
-// polls its state; a job's own work fans out over a SweepRunner so a single
-// job still uses every simulation worker. Two pools keep that deadlock-free:
+// polls its state; a job's own work fans out over the manager's task pool so
+// a single job still uses every simulation worker. Two pools keep that
+// deadlock-free:
 //
 //  - the dispatch pool runs job ORCHESTRATION (job_workers threads). Its
 //    bounded queue is the admission limit: ThreadPool::try_submit() refusing
 //    a job is exactly the "return 429" signal the service wants, with no
 //    extra bookkeeping that could drift out of sync with the pool;
-//  - the sweep runner executes each job's TASKS. A job thread may block on
-//    sweep futures, never on the dispatch pool, so a job cannot starve the
+//  - the task pool executes each job's TASKS. A job thread may block on
+//    task futures, never on the dispatch pool, so a job cannot starve the
 //    sub-tasks it is waiting for.
 //
 // Timeouts and cancellation are cooperative: simulation points are not
 // preemptible, so JobContext::checkpoint() is called between units of work
-// (the bench glue checks before every sweep task) and throws once the
-// wall-clock budget is gone or cancel() was called. A timed-out job stops
-// starting new tasks and reports JobState::kTimeout; in-flight tasks finish.
+// (the bench glue checks before every task) and throws once the wall-clock
+// budget is gone or cancel() was called. After a timeout every remaining
+// task throws at its checkpoint, tasks already running finish, and the job
+// reports JobState::kTimeout.
 #pragma once
 
 #include <atomic>
@@ -32,7 +34,6 @@
 #include <string>
 
 #include "common/thread_pool.hpp"
-#include "system/sweep_runner.hpp"
 
 namespace hmcc::obs {
 class Counter;
@@ -69,9 +70,9 @@ enum class JobState {
 /// True for the three terminal states (kDone/kFailed/kTimeout/kCancelled).
 [[nodiscard]] bool is_terminal(JobState s) noexcept;
 
-/// What a job hands back: the text a standalone run would print and the CSV
-/// rows it would write, both kept in memory (a service job never touches the
-/// filesystem or stdout).
+/// What a job hands back: the text `bench_suite only=<name>` would print and
+/// the CSV rows it would write, both kept in memory (a service job never
+/// touches the filesystem or stdout).
 struct JobOutput {
   std::string text;
   std::string csv;
@@ -84,12 +85,12 @@ struct JobProgress {
   std::atomic<std::uint64_t> total{0};  ///< planned points (0 = unknown)
 };
 
-/// Per-job view handed to the job function: the shared task fan-out runner
-/// plus the cooperative timeout/cancel checkpoint.
+/// Per-job view handed to the job function: the shared task pool plus the
+/// cooperative timeout/cancel checkpoint.
 class JobContext {
  public:
-  /// Task-level fan-out shared by all jobs.
-  [[nodiscard]] const SweepRunner& runner() const noexcept { return *runner_; }
+  /// Task pool shared by all jobs.
+  [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
 
   [[nodiscard]] bool cancelled() const noexcept {
     return cancel_->load(std::memory_order_relaxed);
@@ -106,21 +107,22 @@ class JobContext {
   }
 
   /// Throws JobCancelledError/JobTimeoutError when the job should stop;
-  /// call between units of work (the bench glue calls it per sweep task).
-  /// Each call also advances the job's progress counter by one point, so
-  /// pollers see points_done grow monotonically while the job runs.
+  /// call between units of work (the bench glue calls it before each task).
+  /// Each call that does not throw advances the job's progress counter by
+  /// one point, so pollers see points_done grow monotonically while the job
+  /// runs and a stopped job reports only the points it actually started.
   void checkpoint() const;
 
  private:
   friend class JobManager;
-  JobContext(const SweepRunner* runner, std::atomic<bool>* cancel,
+  JobContext(ThreadPool* pool, std::atomic<bool>* cancel,
              JobProgress* progress, obs::Counter* checkpoint_counter,
              std::chrono::steady_clock::time_point deadline, bool has_deadline)
-      : runner_(runner), cancel_(cancel), progress_(progress),
+      : pool_(pool), cancel_(cancel), progress_(progress),
         checkpoint_counter_(checkpoint_counter), deadline_(deadline),
         has_deadline_(has_deadline) {}
 
-  const SweepRunner* runner_;
+  ThreadPool* pool_;
   std::atomic<bool>* cancel_;
   JobProgress* progress_;
   obs::Counter* checkpoint_counter_;  ///< process-wide tally (may be null)
@@ -147,7 +149,7 @@ struct JobSnapshot {
 class JobManager {
  public:
   struct Options {
-    unsigned sweep_threads = 0;   ///< SweepRunner fan-out (0 = hardware)
+    unsigned sweep_threads = 0;   ///< task pool size (0 = hardware)
     unsigned job_workers = 1;     ///< jobs orchestrated concurrently
     std::size_t max_queued_jobs = 8;  ///< admission bound (excl. running)
     std::chrono::milliseconds default_timeout{0};  ///< 0 = unlimited
@@ -241,11 +243,11 @@ class JobManager {
   JobCounters counters_;
   // Declaration order is load-bearing for shutdown: dispatch_ must be
   // destroyed FIRST (its dtor drains queued jobs, whose run_job() touches
-  // jobs_/mutex_ and fans out over runner_), so it is declared LAST.
+  // jobs_/mutex_ and fans out over tasks_), so it is declared LAST.
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Job> jobs_;
   std::uint64_t next_id_ = 1;
-  SweepRunner runner_;
+  ThreadPool tasks_;
   ThreadPool dispatch_;
 };
 

@@ -1,6 +1,7 @@
 #include "system/runner.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "trace/codec.hpp"
 
@@ -13,7 +14,8 @@ SystemConfig paper_system_config() {
 }
 
 RunResult run_workload(const std::string& workload, SystemConfig cfg,
-                       const workloads::WorkloadParams& params) {
+                       const workloads::WorkloadParams& params,
+                       System::MissHook miss_hook) {
   trace::MultiTrace mtrace;
   if (!cfg.trace_io.replay_path.empty()) {
     // Replay: the .hmct file IS the workload; the named generator is not
@@ -52,6 +54,7 @@ RunResult run_workload(const std::string& workload, SystemConfig cfg,
     }
   }
   System sys(cfg);
+  sys.set_miss_hook(std::move(miss_hook));
   RunResult r;
   r.workload = workload;
   r.mode = cfg.mode;

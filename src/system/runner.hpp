@@ -25,9 +25,11 @@ struct RunResult {
 
 /// Generate the named workload and run it under @p cfg. The workload/seed
 /// pair is deterministic, so two calls with different modes see identical
-/// traces.
+/// traces. A non-empty @p miss_hook observes every request that enters the
+/// coalescer (System::set_miss_hook).
 [[nodiscard]] RunResult run_workload(const std::string& workload,
                                      SystemConfig cfg,
-                                     const workloads::WorkloadParams& params);
+                                     const workloads::WorkloadParams& params,
+                                     System::MissHook miss_hook = {});
 
 }  // namespace hmcc::system

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,6 +20,7 @@
 #include "suite/service_adapter.hpp"
 #include "system/config_bridge.hpp"
 #include "system/job_manager.hpp"
+#include "trace/codec.hpp"
 
 namespace hmcc::bench {
 namespace {
@@ -81,6 +85,96 @@ TEST(SuiteRegistry, KnobMetadataCoversEveryAcceptedKey) {
   EXPECT_FALSE(seen.count("threads"));
 }
 
+// submit_tasks()/collect_tasks(): the one fan-out both drivers use.
+
+std::vector<SuiteTask> index_tasks(std::size_t n,
+                                   std::function<std::any(std::size_t)> fn) {
+  std::vector<SuiteTask> tasks;
+  for (std::size_t i = 0; i < n; ++i) {
+    tasks.push_back([fn, i] { return fn(i); });
+  }
+  return tasks;
+}
+
+TEST(SuiteTasks, ResultsComeBackInInputOrder) {
+  ThreadPool pool(4);
+  const std::vector<std::any> out = collect_tasks(submit_tasks(
+      pool, index_tasks(64, [](std::size_t i) { return std::any(i * i); })));
+  ASSERT_EQ(out.size(), 64u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(result_as<std::size_t>(out[i]), i * i);
+  }
+}
+
+TEST(SuiteTasks, PropagatesWorkerExceptions) {
+  // A failing task does not stop the others: collect_tasks() rethrows only
+  // after every task has finished.
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(
+      (void)collect_tasks(submit_tasks(
+          pool, index_tasks(8,
+                            [&ran](std::size_t i) {
+                              ++ran;
+                              if (i == 5) throw std::runtime_error("boom");
+                              return std::any(i);
+                            }))),
+      std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_THROW((void)collect_tasks(submit_tasks(
+                   pool, run_point_tasks({{"no-such-workload",
+                                           system::paper_system_config(),
+                                           workloads::WorkloadParams{}}}))),
+               std::invalid_argument);
+}
+
+TEST(SuiteTasks, RethrowsLowestFailingIndexDeterministically) {
+  // Index 3 fails last in wall-clock time, yet its exception must win over
+  // the later indices' so error reports don't depend on scheduling.
+  for (int round = 0; round < 5; ++round) {
+    ThreadPool pool(4);
+    try {
+      (void)collect_tasks(submit_tasks(
+          pool, index_tasks(64, [](std::size_t i) {
+            if (i == 3) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }
+            if (i == 3 || i == 7 || i == 50) {
+              throw std::runtime_error(std::to_string(i));
+            }
+            return std::any(i);
+          })));
+      FAIL() << "expected exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3") << "round " << round;
+    }
+  }
+}
+
+TEST(SuiteTasks, ThrowingBeforeEachSkipsItsTask) {
+  ThreadPool pool(2);
+  std::atomic<int> checks{0};
+  std::atomic<int> ran{0};
+  auto count_task = [&ran](std::size_t) {
+    ++ran;
+    return std::any(0);
+  };
+  // Without a throw, before_each runs once before every task.
+  EXPECT_EQ(collect_tasks(submit_tasks(pool, index_tasks(6, count_task),
+                                       [&checks] { ++checks; }))
+                .size(),
+            6u);
+  EXPECT_EQ(checks.load(), 6);
+  EXPECT_EQ(ran.load(), 6);
+  // A throwing before_each stops its task from running at all.
+  ran = 0;
+  EXPECT_THROW((void)collect_tasks(submit_tasks(
+                   pool, index_tasks(6, count_task),
+                   [] { throw std::runtime_error("stop"); })),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 0);
+}
+
 // Run the bench_suite command in-process and hand back its stdout.
 int run_suite_captured(std::vector<std::string> args, std::string& out) {
   args.insert(args.begin(), "bench_suite");
@@ -107,6 +201,80 @@ TEST(SuiteRegistry, StandaloneDriverSmokesEveryBench) {
     EXPECT_NE(out.find("=== " + b.meta.title + " ==="), std::string::npos);
     EXPECT_NE(out.find(b.meta.paper_note), std::string::npos);
   }
+}
+
+TEST(SuiteRegistry, ThreadCountDoesNotChangeResults) {
+  std::string serial;
+  std::string parallel;
+  ASSERT_EQ(run_suite_captured({"only=fig08,fig13", kSmokeAccesses, "nocsv=1",
+                                "threads=1"},
+                               serial),
+            0);
+  ASSERT_EQ(run_suite_captured({"only=fig08,fig13", kSmokeAccesses, "nocsv=1",
+                                "threads=4"},
+                               parallel),
+            0);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, parallel);
+}
+
+// The data rows of every ASCII table in @p out, as (first cell, the rest).
+std::vector<std::pair<std::string, std::string>> table_rows(
+    const std::string& out) {
+  std::vector<std::string> lines;
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    const bool is_header =
+        i + 1 < lines.size() && lines[i + 1].rfind("|-", 0) == 0;
+    if (line.rfind("| ", 0) != 0 || is_header) continue;
+    const std::size_t bar = line.find('|', 1);
+    std::string name = line.substr(2, bar - 2);
+    name.erase(name.find_last_not_of(' ') + 1);
+    rows.emplace_back(name, line.substr(bar));
+  }
+  return rows;
+}
+
+TEST(SuiteRegistry, Fig09TakesBothSeriesFromTheReplayedTrace) {
+  // Under trace_replay= every workload row runs the same recorded trace, so
+  // the raw and the coalesced columns must agree across all twelve rows.
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) / "hmcc_fig09_replay.hmct")
+          .string();
+  workloads::WorkloadParams params;
+  params.accesses_per_core = 300;
+  params.num_cores = system::paper_system_config().hierarchy.num_cores;
+  ASSERT_TRUE(
+      trace::write_file(workloads::make_workload("ep")->generate(params), path)
+          .ok());
+  std::string out;
+  ASSERT_EQ(run_suite_captured({"only=fig09", "accesses=300", "nocsv=1",
+                                "threads=2", "trace_replay=" + path},
+                               out),
+            0);
+  std::filesystem::remove(path);
+  auto rows = table_rows(out);
+  ASSERT_EQ(rows.size(), workloads::workload_names().size() + 1);
+  rows.pop_back();  // the average row
+  for (const auto& [name, cells] : rows) {
+    EXPECT_EQ(cells, rows.front().second) << name;
+  }
+}
+
+TEST(SuiteRegistry, Fig10BatchesByThePlatformWindow) {
+  std::string by_default;
+  std::string by_eight;
+  ASSERT_EQ(run_suite_captured({"only=fig10", kSmokeAccesses, "nocsv=1"},
+                               by_default),
+            0);
+  ASSERT_EQ(run_suite_captured({"only=fig10", kSmokeAccesses, "nocsv=1",
+                                "window=8"},
+                               by_eight),
+            0);
+  EXPECT_NE(by_default, by_eight);
 }
 
 TEST(SuiteRegistry, AblationJsonLandsBesideTheCsv) {

@@ -13,12 +13,6 @@
 namespace hmcc::coalescer {
 namespace {
 
-CoalescerConfig line_cfg() {
-  CoalescerConfig cfg;
-  cfg.granularity = Granularity::kLine;
-  return cfg;
-}
-
 CoalescerRequest req(Addr addr, ReqType type = ReqType::kLoad,
                      std::uint32_t payload = 64, std::uint64_t token = 0) {
   CoalescerRequest r{};
@@ -78,18 +72,18 @@ void check_coverage(const std::vector<CoalescerRequest>& in,
 }
 
 TEST(DmcLine, FourContiguousLinesBecomeOne256B) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   auto in = sorted({req(0x1000), req(0x1040), req(0x1080), req(0x10C0)});
   const DmcResult out = dmc.coalesce(in, 0);
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].addr, 0x1000u);
   EXPECT_EQ(out.packets[0].bytes, 256u);
   EXPECT_EQ(out.packets[0].constituents.size(), 4u);
-  check_coverage(in, out, line_cfg());
+  check_coverage(in, out, CoalescerConfig{});
 }
 
 TEST(DmcLine, TwoContiguousLinesBecome128B) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   auto in = sorted({req(0x1000), req(0x1040)});
   const DmcResult out = dmc.coalesce(in, 0);
   ASSERT_EQ(out.packets.size(), 1u);
@@ -97,7 +91,7 @@ TEST(DmcLine, TwoContiguousLinesBecome128B) {
 }
 
 TEST(DmcLine, ThreeContiguousLinesSplit128Plus64) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   auto in = sorted({req(0x1000), req(0x1040), req(0x1080)});
   const DmcResult out = dmc.coalesce(in, 0);
   ASSERT_EQ(out.packets.size(), 2u);
@@ -105,11 +99,11 @@ TEST(DmcLine, ThreeContiguousLinesSplit128Plus64) {
   EXPECT_EQ(out.packets[0].addr, 0x1000u);
   EXPECT_EQ(out.packets[1].bytes, 64u);
   EXPECT_EQ(out.packets[1].addr, 0x1080u);
-  check_coverage(in, out, line_cfg());
+  check_coverage(in, out, CoalescerConfig{});
 }
 
 TEST(DmcLine, NonContiguousStayUncoalesced) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   auto in = sorted({req(0x1000), req(0x2000), req(0x3000)});
   const DmcResult out = dmc.coalesce(in, 0);
   EXPECT_EQ(out.packets.size(), 3u);
@@ -118,7 +112,7 @@ TEST(DmcLine, NonContiguousStayUncoalesced) {
 }
 
 TEST(DmcLine, RunsNeverCrossBlockBoundary) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   // Lines 0x1C0 and 0x200 are contiguous but straddle the 256 B boundary.
   auto in = sorted({req(0x1C0), req(0x200)});
   const DmcResult out = dmc.coalesce(in, 0);
@@ -128,7 +122,7 @@ TEST(DmcLine, RunsNeverCrossBlockBoundary) {
 }
 
 TEST(DmcLine, LoadsAndStoresNeverMix) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   auto in = sorted({req(0x1000, ReqType::kLoad), req(0x1040, ReqType::kStore),
                     req(0x1080, ReqType::kLoad),
                     req(0x10C0, ReqType::kStore)});
@@ -136,11 +130,11 @@ TEST(DmcLine, LoadsAndStoresNeverMix) {
   // Sorted order groups loads {0x1000,0x1080} and stores {0x1040,0x10C0};
   // neither pair is contiguous, so four packets result.
   EXPECT_EQ(out.packets.size(), 4u);
-  check_coverage(in, out, line_cfg());
+  check_coverage(in, out, CoalescerConfig{});
 }
 
 TEST(DmcLine, ContiguousSameTypeMixedStreamCoalescesPerType) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   auto in = sorted({req(0x1000, ReqType::kLoad), req(0x1040, ReqType::kLoad),
                     req(0x2000, ReqType::kStore),
                     req(0x2040, ReqType::kStore)});
@@ -153,7 +147,7 @@ TEST(DmcLine, ContiguousSameTypeMixedStreamCoalescesPerType) {
 }
 
 TEST(DmcLine, DuplicateLinesDedupe) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   auto in = sorted({req(0x1000, ReqType::kLoad, 8, 1),
                     req(0x1008, ReqType::kLoad, 8, 2),
                     req(0x1040, ReqType::kLoad, 8, 3)});
@@ -161,17 +155,17 @@ TEST(DmcLine, DuplicateLinesDedupe) {
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].bytes, 128u);
   EXPECT_EQ(out.packets[0].constituents.size(), 3u);
-  check_coverage(in, out, line_cfg());
+  check_coverage(in, out, CoalescerConfig{});
 }
 
 TEST(DmcLine, EmptyInputYieldsNothing) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   const DmcResult out = dmc.coalesce({}, 5);
   EXPECT_TRUE(out.packets.empty());
 }
 
 TEST(DmcLine, TimingGrowsWithMergeWork) {
-  DmcUnit dmc(line_cfg());
+  DmcUnit dmc(CoalescerConfig{});
   // Fully coalescable window vs fully scattered window of the same size:
   // the coalescable one spends more merge-stage slots (Fig 13's FT effect).
   std::vector<CoalescerRequest> dense;
@@ -187,7 +181,7 @@ TEST(DmcLine, TimingGrowsWithMergeWork) {
 }
 
 TEST(DmcLine, PropertyRandomWindowsPreserveCoverage) {
-  const CoalescerConfig cfg = line_cfg();
+  const CoalescerConfig cfg = CoalescerConfig{};
   DmcUnit dmc(cfg);
   Xoshiro256 rng(21);
   for (int trial = 0; trial < 500; ++trial) {
@@ -218,7 +212,7 @@ TEST(DmcLine, PropertyRandomWindowsPreserveCoverage) {
 // slot. Net effect: both two-request windows below finish at start + 3*tau.
 
 TEST(DmcLine, AddressMismatchRefundsItsCompareSlot) {
-  const CoalescerConfig cfg = line_cfg();
+  const CoalescerConfig cfg = CoalescerConfig{};
   DmcUnit dmc(cfg);
   auto in = sorted({req(0x1000), req(0x3000)});  // same type, far apart
   const DmcResult out = dmc.coalesce(in, 7);
@@ -229,7 +223,7 @@ TEST(DmcLine, AddressMismatchRefundsItsCompareSlot) {
 }
 
 TEST(DmcLine, TypeMismatchNeverEntersTheCompareStage) {
-  const CoalescerConfig cfg = line_cfg();
+  const CoalescerConfig cfg = CoalescerConfig{};
   DmcUnit dmc(cfg);
   // Adjacent lines, different types: would be contiguous if types matched.
   auto in = sorted({req(0x1000, ReqType::kLoad), req(0x1040, ReqType::kStore)});
@@ -242,7 +236,7 @@ TEST(DmcLine, TypeMismatchNeverEntersTheCompareStage) {
 }
 
 TEST(DmcLine, RunBreakAfterMergeChargesExactly) {
-  const CoalescerConfig cfg = line_cfg();
+  const CoalescerConfig cfg = CoalescerConfig{};
   DmcUnit dmc(cfg);
   auto in = sorted({req(0x1000), req(0x1040), req(0x3000)});
   const DmcResult out = dmc.coalesce(in, 0);
@@ -259,53 +253,43 @@ TEST(DmcLine, RunBreakAfterMergeChargesExactly) {
 // Payload granularity (Figures 9-10 accounting mode)
 // ---------------------------------------------------------------------------
 
-CoalescerConfig payload_cfg() {
-  CoalescerConfig cfg;
-  cfg.granularity = Granularity::kPayload;
-  return cfg;
-}
-
 TEST(DmcPayload, SixteenContiguous16BLoadsBecomeOne256B) {
-  DmcUnit dmc(payload_cfg());
   std::vector<CoalescerRequest> in;
   for (int i = 0; i < 16; ++i) {
     in.push_back(req(0x1000 + 16u * static_cast<Addr>(i), ReqType::kLoad, 16));
   }
-  const DmcResult out = dmc.coalesce(sorted(in), 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, sorted(in), 0);
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].bytes, 256u);
   EXPECT_EQ(out.packets[0].payload_bytes(), 256u);
 }
 
 TEST(DmcPayload, ScatteredSmallLoadsStaySmall) {
-  DmcUnit dmc(payload_cfg());
   std::vector<CoalescerRequest> in;
   for (int i = 0; i < 8; ++i) {
     in.push_back(req(0x10000 * static_cast<Addr>(i + 1), ReqType::kLoad, 8));
   }
-  const DmcResult out = dmc.coalesce(sorted(in), 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, sorted(in), 0);
   EXPECT_EQ(out.packets.size(), 8u);
   for (const auto& p : out.packets) EXPECT_EQ(p.bytes, 16u);
 }
 
 TEST(DmcPayload, SizesRoundToFlitMultiples) {
-  DmcUnit dmc(payload_cfg());
   auto in = sorted({req(0x1000, ReqType::kLoad, 8),
                     req(0x1008, ReqType::kLoad, 24)});
-  const DmcResult out = dmc.coalesce(in, 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, in, 0);
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].bytes, 32u);  // 32 bytes covered exactly
 }
 
 TEST(DmcPayload, GapBetween128And256Rounds) {
-  DmcUnit dmc(payload_cfg());
   // 10 x 16 B contiguous = 160 B payload -> must round to 256 B (HMC has no
   // 144..240 B commands) and anchor inside one block.
   std::vector<CoalescerRequest> in;
   for (int i = 0; i < 10; ++i) {
     in.push_back(req(0x2000 + 16u * static_cast<Addr>(i), ReqType::kLoad, 16));
   }
-  const DmcResult out = dmc.coalesce(sorted(in), 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, sorted(in), 0);
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].bytes, 256u);
   EXPECT_EQ(align_down(out.packets[0].addr, 256),
@@ -313,9 +297,8 @@ TEST(DmcPayload, GapBetween128And256Rounds) {
 }
 
 TEST(DmcPayload, RequestStraddlingBlockIsSplit) {
-  DmcUnit dmc(payload_cfg());
   auto in = sorted({req(0x10F8, ReqType::kLoad, 16)});  // crosses 0x1100
-  const DmcResult out = dmc.coalesce(in, 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, in, 0);
   ASSERT_EQ(out.packets.size(), 2u);
   std::uint64_t payload = 0;
   for (const auto& p : out.packets) payload += p.payload_bytes();
@@ -323,22 +306,20 @@ TEST(DmcPayload, RequestStraddlingBlockIsSplit) {
 }
 
 TEST(DmcPayload, OverlappingExtentsMerge) {
-  DmcUnit dmc(payload_cfg());
   auto in = sorted({req(0x3000, ReqType::kLoad, 32),
                     req(0x3010, ReqType::kLoad, 32)});
-  const DmcResult out = dmc.coalesce(in, 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, in, 0);
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].bytes, 48u);
 }
 
 TEST(DmcPayload, SplitTailMergesWithNextBlockExtent) {
-  DmcUnit dmc(payload_cfg());
   // 0x10F0+32 straddles the 0x1100 block boundary: its head stays in the
   // first block and its tail (0x1100, 16 B) must seed a new extent that the
   // following request then joins.
   auto in = sorted({req(0x10F0, ReqType::kLoad, 32),
                     req(0x1110, ReqType::kLoad, 16)});
-  const DmcResult out = dmc.coalesce(in, 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, in, 0);
   ASSERT_EQ(out.packets.size(), 2u);
   EXPECT_EQ(out.packets[0].addr, 0x10F0u);
   EXPECT_EQ(out.packets[0].bytes, 16u);
@@ -350,7 +331,6 @@ TEST(DmcPayload, SplitTailMergesWithNextBlockExtent) {
 }
 
 TEST(DmcPayload, RoundingSpillReAnchorsAtBlockStart) {
-  DmcUnit dmc(payload_cfg());
   // 10 x 16 B at 0x2060..0x20F0: the 160 B extent rounds to 256 B, which
   // would spill past 0x2100 if anchored at 0x2060 — the packet must re-anchor
   // at the block start 0x2000.
@@ -358,7 +338,7 @@ TEST(DmcPayload, RoundingSpillReAnchorsAtBlockStart) {
   for (int i = 0; i < 10; ++i) {
     in.push_back(req(0x2060 + 16u * static_cast<Addr>(i), ReqType::kLoad, 16));
   }
-  const DmcResult out = dmc.coalesce(sorted(in), 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, sorted(in), 0);
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].addr, 0x2000u);
   EXPECT_EQ(out.packets[0].bytes, 256u);
@@ -366,20 +346,18 @@ TEST(DmcPayload, RoundingSpillReAnchorsAtBlockStart) {
 }
 
 TEST(DmcPayload, ExactFitKeepsTheExtentAnchor) {
-  DmcUnit dmc(payload_cfg());
   // 48 B at 0x2040 is a legal HMC size and fits its block from the extent
   // base, so no re-anchoring happens.
   auto in = sorted({req(0x2040, ReqType::kLoad, 16),
                     req(0x2050, ReqType::kLoad, 16),
                     req(0x2060, ReqType::kLoad, 16)});
-  const DmcResult out = dmc.coalesce(in, 0);
+  const DmcResult out = coalesce_payload(CoalescerConfig{}, in, 0);
   ASSERT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(out.packets[0].addr, 0x2040u);
   EXPECT_EQ(out.packets[0].bytes, 48u);
 }
 
 TEST(DmcPayload, PropertyPayloadNeverLost) {
-  DmcUnit dmc(payload_cfg());
   Xoshiro256 rng(31);
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<CoalescerRequest> in;
@@ -391,7 +369,7 @@ TEST(DmcPayload, PropertyPayloadNeverLost) {
                        trial * 100 + i));
       total_payload += payload;
     }
-    const DmcResult out = dmc.coalesce(sorted(in), 0);
+    const DmcResult out = coalesce_payload(CoalescerConfig{}, sorted(in), 0);
     std::uint64_t out_payload = 0;
     std::uint64_t out_wire = 0;
     for (const auto& p : out.packets) {

@@ -43,11 +43,13 @@ TEST(JobManager, RunsJobAndExposesOutput) {
   JobManager mgr(small_options());
   auto id = mgr.submit("ok", [](const JobContext& ctx) {
     ctx.checkpoint();
-    // Job-level fan-out goes through the shared sweep runner.
-    const auto squares = ctx.runner().map<std::size_t>(
-        8, [](std::size_t i) { return i * i; });
+    // Job-level fan-out goes through the shared task pool.
+    std::vector<std::future<std::size_t>> squares;
+    for (std::size_t i = 0; i < 8; ++i) {
+      squares.push_back(ctx.pool().submit([i] { return i * i; }));
+    }
     JobOutput out;
-    out.text = "squares=" + std::to_string(squares.back());
+    out.text = "squares=" + std::to_string(squares.back().get());
     out.csv = "i,sq\n7,49\n";
     return out;
   });
@@ -94,6 +96,36 @@ TEST(JobManager, TimeoutTripsAtNextCheckpoint) {
   EXPECT_EQ(snap.state, JobState::kTimeout);
   EXPECT_FALSE(snap.error.empty());
   EXPECT_EQ(snap.timeout, 10ms);
+}
+
+TEST(JobManager, TimedOutJobReportsFewerPointsThanPlanned) {
+  // The bench glue's shape: every task checkpoints on the task pool, and the
+  // job waits for all of them. After the budget runs out each remaining task
+  // throws at its checkpoint, and those tasks must not count as points done.
+  JobManager mgr(small_options());
+  constexpr std::size_t kTasks = 40;
+  auto id = mgr.submit(
+      "fanout",
+      [](const JobContext& ctx) -> JobOutput {
+        ctx.set_points_total(kTasks);
+        std::vector<std::future<void>> futures;
+        for (std::size_t i = 0; i < kTasks; ++i) {
+          futures.push_back(ctx.pool().submit([&ctx] {
+            ctx.checkpoint();
+            std::this_thread::sleep_for(5ms);
+          }));
+        }
+        // Wait for every task before get() can throw: the tasks hold &ctx.
+        for (auto& f : futures) f.wait();
+        for (auto& f : futures) f.get();
+        return JobOutput{};
+      },
+      10ms);
+  ASSERT_TRUE(id.has_value());
+  const JobSnapshot snap = wait_terminal(mgr, *id);
+  EXPECT_EQ(snap.state, JobState::kTimeout);
+  EXPECT_EQ(snap.points_total, kTasks);
+  EXPECT_LT(snap.points_done, snap.points_total);
 }
 
 TEST(JobManager, TimeoutBudgetStartsWhenJobStartsNotWhenQueued) {

@@ -2,13 +2,17 @@
 // and line ID segment to support the possible larger request packets in the
 // future HMC generations." These tests exercise the coalescer with a
 // hypothetical 512 B-block HMC (3-bit size/line-ID equivalents) and other
-// off-default platform shapes. The full-system points run through
-// SweepRunner — the same fan-out the bench suite uses — so the off-default
-// shapes double as a concurrency test for parallel System instances.
+// off-default platform shapes. The full-system points run on a ThreadPool
+// — the pool the bench suite and the daemon fan tasks out over — so the
+// off-default shapes double as a concurrency test for parallel System
+// instances.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <vector>
+
+#include "common/thread_pool.hpp"
 #include "system/runner.hpp"
-#include "system/sweep_runner.hpp"
 
 namespace hmcc::system {
 namespace {
@@ -61,14 +65,17 @@ TEST(Scaling, OffDefaultPlatformShapesSweepInParallel) {
   open_page.hmc.closed_page = false;
   shapes.push_back({"open-page", open_page});
 
-  const SweepRunner runner(4);
-  const auto reports =
-      runner.map<SystemReport>(shapes.size(), [&](std::size_t i) {
-        SystemConfig cfg = shapes[i].cfg;
-        apply_mode(cfg, CoalescerMode::kFull);
-        System sys(cfg);
-        return sys.run(dense_trace(4, 1000));
-      });
+  ThreadPool pool(4);
+  std::vector<std::future<SystemReport>> futures;
+  for (const Shape& shape : shapes) {
+    futures.push_back(pool.submit([cfg = shape.cfg]() mutable {
+      apply_mode(cfg, CoalescerMode::kFull);
+      System sys(cfg);
+      return sys.run(dense_trace(4, 1000));
+    }));
+  }
+  std::vector<SystemReport> reports;
+  for (auto& f : futures) reports.push_back(f.get());
 
   ASSERT_EQ(reports.size(), shapes.size());
   for (const auto& rep : reports) EXPECT_TRUE(rep.drained);
@@ -108,17 +115,20 @@ TEST(Scaling, EightLinePacketsWhenCommandsAllow) {
 }
 
 TEST(Scaling, MoreMshrsMoreThroughput) {
-  const SweepRunner runner(2);
-  const std::uint32_t mshrs[] = {4, 32};
-  const auto reports = runner.map<SystemReport>(2, [&](std::size_t i) {
-    SystemConfig cfg = paper_system_config();
-    cfg.hierarchy.num_cores = 4;
-    cfg.hierarchy.llc_mshrs = mshrs[i];
-    apply_mode(cfg, CoalescerMode::kFull);
-    System sys(cfg);
-    return sys.run(dense_trace(4, 2000));
-  });
-  EXPECT_LT(reports[1].runtime, reports[0].runtime);
+  ThreadPool pool(2);
+  auto run_with = [&pool](std::uint32_t mshrs) {
+    return pool.submit([mshrs] {
+      SystemConfig cfg = paper_system_config();
+      cfg.hierarchy.num_cores = 4;
+      cfg.hierarchy.llc_mshrs = mshrs;
+      apply_mode(cfg, CoalescerMode::kFull);
+      System sys(cfg);
+      return sys.run(dense_trace(4, 2000));
+    });
+  };
+  auto few = run_with(4);
+  auto many = run_with(32);
+  EXPECT_LT(many.get().runtime, few.get().runtime);
 }
 
 TEST(Scaling, SingleCoreSystemWorks) {
