@@ -21,6 +21,7 @@ MemoryCoalescer::MemoryCoalescer(Kernel& kernel, CoalescerConfig cfg,
       crq_(cfg.num_mshrs) {
   assert(issue_ && complete_);
   window_.reserve(cfg_.window);
+  allocated_.reserve(cfg_.num_mshrs);
 }
 
 bool MemoryCoalescer::bypass_active() const noexcept {
@@ -158,6 +159,13 @@ void MemoryCoalescer::drain_crq() {
     }
   };
   refill();
+  auto gained_coverage = [this](const CoalescedPacket& pkt) {
+    return std::any_of(allocated_.begin(), allocated_.end(),
+                       [&pkt](const Allocation& a) {
+                         return a.type == pkt.type && a.base < pkt.end() &&
+                                pkt.addr < a.end;
+                       });
+  };
 
   while (!crq_.empty()) {
     DynamicMshrFile::InsertResult res = mshrs_.try_insert(crq_.front());
@@ -166,23 +174,35 @@ void MemoryCoalescer::drain_crq() {
       crq_.pop();
       refill();
       for (CoalescedPacket& pkt : res.to_issue) {
+        allocated_.push_back({pkt.addr, pkt.end(), pkt.type});
         issue_packet(std::move(pkt));
       }
       continue;
     }
     // Head blocked on a free entry. §4.2: the rest of the CRQ still gets
     // compared against all MSHRs and fully-covered packets merge in place.
+    // A packet whose last check failed can only merge now if an entry of
+    // its type allocated since then overlaps it (see try_merge_only), so
+    // only then is it checked again.
     for (std::size_t i = 1; i < crq_.size();) {
-      if (mshrs_.try_merge_only(crq_.at(i))) {
+      CoalescedPacket& pkt = crq_.at(i);
+      if (pkt.merge_failed && !gained_coverage(pkt)) {
+        ++i;
+      } else if (mshrs_.try_merge_only(pkt)) {
         ++stats_.crq_merges;
-        note_issued_or_merged(crq_.at(i), kernel_.now());
+        note_issued_or_merged(pkt, kernel_.now());
         crq_.erase_at(i);
       } else {
+        pkt.merge_failed = true;
         ++i;
       }
     }
     break;  // wait for an on_memory_response() to free an entry
   }
+  // A drain ends with a merge pass or an empty CRQ, so a packet's last
+  // check (or skip) was in the previous drain; the allocations since then
+  // are the ones the next drain records.
+  allocated_.clear();
   if (trace_ != nullptr) {
     trace_->counter("crq_occupancy",
                     static_cast<double>(kernel_.now()) * arch::kNsPerCycle,

@@ -145,6 +145,14 @@ class MemoryCoalescer {
 
   RingBuffer<CoalescedPacket> crq_;
   std::deque<CoalescedPacket> crq_overflow_;  ///< packets waiting for CRQ room
+  /// MSHR entries the running drain_crq() call has allocated. Only these
+  /// can turn a waiting packet's failed merge check into a success.
+  struct Allocation {
+    Addr base;
+    Addr end;
+    ReqType type;
+  };
+  std::vector<Allocation> allocated_;
   /// Fig 13 fill-time tracking: cumulative DMC busy cycles at each push; a
   /// sample is the busy time spanned by CRQ-capacity consecutive pushes.
   Cycle dmc_busy_total_ = 0;

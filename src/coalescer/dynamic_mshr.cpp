@@ -9,20 +9,21 @@
 namespace hmcc::coalescer {
 
 DynamicMshrFile::DynamicMshrFile(const CoalescerConfig& cfg)
-    : cfg_(cfg), entries_(cfg.num_mshrs) {}
+    : cfg_(cfg), entries_(cfg.num_mshrs), planned_attach_(cfg.num_mshrs) {
+  hit_entry_.reserve(cfg.window);
+  remainder_.reserve(cfg.window);
+}
 
 bool DynamicMshrFile::covers(const Entry& e, Addr line_addr) const noexcept {
   return line_addr >= e.base &&
          line_addr < e.base + static_cast<Addr>(e.size_lines) * cfg_.line_bytes;
 }
 
-std::vector<CoalescedPacket> DynamicMshrFile::repacketize(
-    std::vector<CoalescerRequest> leftovers, ReqType type,
-    Cycle ready_at) const {
-  std::vector<CoalescedPacket> out;
+void DynamicMshrFile::repacketize(ReqType type, Cycle ready_at,
+                                  std::vector<CoalescedPacket>& out) {
   const Addr line = cfg_.line_bytes;
   const Addr block = cfg_.max_packet_bytes;
-  std::sort(leftovers.begin(), leftovers.end(),
+  std::sort(remainder_.begin(), remainder_.end(),
             [](const CoalescerRequest& a, const CoalescerRequest& b) {
               return a.addr < b.addr;
             });
@@ -32,7 +33,7 @@ std::vector<CoalescedPacket> DynamicMshrFile::repacketize(
   std::vector<std::vector<CoalescerRequest>> run;
   Addr run_base = 0;
   Addr last_line = 0;
-  for (CoalescerRequest& r : leftovers) {
+  for (CoalescerRequest& r : remainder_) {
     const Addr la = align_down(r.addr, line);
     if (!run.empty() && la == last_line) {
       run.back().push_back(std::move(r));
@@ -51,17 +52,15 @@ std::vector<CoalescedPacket> DynamicMshrFile::repacketize(
   if (!run.empty()) {
     packetize_line_run(cfg_, run_base, run, type, ready_at, out);
   }
-  return out;
 }
 
-std::size_t DynamicMshrFile::plan_overlap(const CoalescedPacket& pkt,
-                                          std::vector<Entry*>& hit_entry) {
+std::size_t DynamicMshrFile::plan_overlap(const CoalescedPacket& pkt) {
   // For each constituent line, find a same-type in-flight entry with
   // subentry room that covers it. Phase-2 merging can be disabled for the
   // Figure 8 configuration sweep.
-  hit_entry.assign(pkt.constituents.size(), nullptr);
+  hit_entry_.assign(pkt.constituents.size(), nullptr);
   if (!cfg_.enable_mshr_merge) return 0;
-  std::vector<std::size_t> planned_attach(entries_.size(), 0);
+  std::fill(planned_attach_.begin(), planned_attach_.end(), 0);
   std::size_t covered = 0;
   for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
     const Addr line = align_down(pkt.constituents[c].addr, cfg_.line_bytes);
@@ -70,11 +69,11 @@ std::size_t DynamicMshrFile::plan_overlap(const CoalescedPacket& pkt,
       if (!entry.valid || entry.type != pkt.type || !covers(entry, line)) {
         continue;
       }
-      if (entry.subs.size() + planned_attach[e] >= cfg_.max_subentries) {
+      if (entry.subs.size() + planned_attach_[e] >= cfg_.max_subentries) {
         continue;
       }
-      hit_entry[c] = &entry;
-      ++planned_attach[e];
+      hit_entry_[c] = &entry;
+      ++planned_attach_[e];
       ++covered;
       break;
     }
@@ -82,10 +81,9 @@ std::size_t DynamicMshrFile::plan_overlap(const CoalescedPacket& pkt,
   return covered;
 }
 
-void DynamicMshrFile::commit_attaches(const CoalescedPacket& pkt,
-                                      const std::vector<Entry*>& hit_entry) {
+void DynamicMshrFile::commit_attaches(const CoalescedPacket& pkt) {
   for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
-    if (Entry* e = hit_entry[c]) {
+    if (Entry* e = hit_entry_[c]) {
       const CoalescerRequest& r = pkt.constituents[c];
       const Addr line = align_down(r.addr, cfg_.line_bytes);
       Subentry s{};
@@ -99,10 +97,9 @@ void DynamicMshrFile::commit_attaches(const CoalescedPacket& pkt,
 }
 
 bool DynamicMshrFile::try_merge_only(const CoalescedPacket& pkt) {
-  std::vector<Entry*> hit_entry;
-  const std::size_t covered = plan_overlap(pkt, hit_entry);
+  const std::size_t covered = plan_overlap(pkt);
   if (covered != pkt.constituents.size()) return false;
-  commit_attaches(pkt, hit_entry);
+  commit_attaches(pkt);
   ++stats_.full_merges;
   return true;
 }
@@ -113,26 +110,26 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
          "dynamic MSHRs operate at line granularity");
   InsertResult result;
 
-  // --- Planning pass (no mutation) --------------------------------------
-  std::vector<Entry*> hit_entry;
-  const std::size_t covered = plan_overlap(pkt, hit_entry);
-
-  std::vector<CoalescerRequest> remainder;
-  for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
-    if (!hit_entry[c]) remainder.push_back(pkt.constituents[c]);
-  }
-
-  std::vector<CoalescedPacket> new_packets;
+  // --- Planning pass (touches only the planning buffers) -----------------
+  const std::size_t covered = plan_overlap(pkt);
   if (covered == 0) {
     // No overlap at all: the packet allocates as-is (no re-split).
-    new_packets.push_back(pkt);
-  } else if (!remainder.empty()) {
-    new_packets = repacketize(std::move(remainder), pkt.type, pkt.ready_at);
-  }
-
-  if (new_packets.size() > capacity() - used_) {
-    ++stats_.rejects_full;
-    return result;  // accepted = false; CRQ retries later
+    if (full()) {
+      ++stats_.rejects_full;
+      return result;  // accepted = false; CRQ retries later
+    }
+    result.to_issue.push_back(pkt);
+  } else if (covered < pkt.constituents.size()) {
+    remainder_.clear();
+    for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
+      if (!hit_entry_[c]) remainder_.push_back(pkt.constituents[c]);
+    }
+    repacketize(pkt.type, pkt.ready_at, result.to_issue);
+    if (result.to_issue.size() > capacity() - used_) {
+      ++stats_.rejects_full;
+      result.to_issue.clear();
+      return result;
+    }
   }
 
   // --- Commit pass -------------------------------------------------------
@@ -141,8 +138,8 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
   } else if (covered > 0) {
     ++stats_.partial_merges;
   }
-  commit_attaches(pkt, hit_entry);
-  for (CoalescedPacket& np : new_packets) {
+  commit_attaches(pkt);
+  for (CoalescedPacket& np : result.to_issue) {
     Entry* slot = nullptr;
     for (Entry& e : entries_) {
       if (!e.valid) {
@@ -169,7 +166,6 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
     ++used_;
     ++stats_.allocations;
     np.id = slot->issue_id;
-    result.to_issue.push_back(std::move(np));
   }
   result.accepted = true;
   return result;

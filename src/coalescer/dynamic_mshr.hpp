@@ -63,6 +63,12 @@ class DynamicMshrFile {
   /// all MSHRs; if (and only if) EVERY constituent is covered by in-flight
   /// same-type entries, it merges and leaves the queue. Returns true on
   /// merge; otherwise the file is untouched.
+  ///
+  /// Once this fails for a packet, it keeps failing until an entry is
+  /// allocated that has the packet's type and overlaps [addr, end()):
+  /// on_fill() only removes entries, attaches only use up subentry room,
+  /// and plan_overlap()'s first-fit assignment covers no more lines after
+  /// either. MemoryCoalescer::drain_crq() skips re-checks on that rule.
   bool try_merge_only(const CoalescedPacket& pkt);
 
   struct FillResult {
@@ -104,17 +110,17 @@ class DynamicMshrFile {
   };
 
   [[nodiscard]] bool covers(const Entry& e, Addr line_addr) const noexcept;
-  /// Planning pass: map each constituent to a coverable entry (or null).
-  /// Returns the number of covered constituents. No mutation.
-  std::size_t plan_overlap(const CoalescedPacket& pkt,
-                           std::vector<Entry*>& hit_entry);
-  /// Commit pass: attach the planned constituents as subentries.
-  void commit_attaches(const CoalescedPacket& pkt,
-                       const std::vector<Entry*>& hit_entry);
-  /// Re-packetize leftover constituents into legal packets.
-  [[nodiscard]] std::vector<CoalescedPacket> repacketize(
-      std::vector<CoalescerRequest> leftovers, ReqType type,
-      Cycle ready_at) const;
+  /// Planning pass: map each constituent to a coverable entry (or null) in
+  /// hit_entry_. Returns the number of covered constituents. Mutates only
+  /// the planning buffers.
+  std::size_t plan_overlap(const CoalescedPacket& pkt);
+  /// Commit pass: attach the constituents planned in hit_entry_ as
+  /// subentries.
+  void commit_attaches(const CoalescedPacket& pkt);
+  /// Re-packetize the constituents in remainder_ into legal packets,
+  /// appended to @p out.
+  void repacketize(ReqType type, Cycle ready_at,
+                   std::vector<CoalescedPacket>& out);
   Entry* find_by_issue_id(ReqId id);
 
   CoalescerConfig cfg_;
@@ -122,6 +128,10 @@ class DynamicMshrFile {
   std::uint32_t used_ = 0;
   ReqId next_issue_id_ = 1;
   DynMshrStats stats_;
+  // Planning buffers, reused by every call (sized by window and num_mshrs).
+  std::vector<Entry*> hit_entry_;               ///< per constituent
+  std::vector<std::uint32_t> planned_attach_;   ///< per entry
+  std::vector<CoalescerRequest> remainder_;     ///< uncovered constituents
 };
 
 }  // namespace hmcc::coalescer

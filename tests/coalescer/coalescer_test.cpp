@@ -217,6 +217,28 @@ TEST(Coalescer, CrqBackpressureEventuallyDrains) {
   EXPECT_TRUE(h.coalescer.idle());
 }
 
+TEST(Coalescer, WaitingPacketMergesIntoEntryAllocatedAfterItsCheck) {
+  // §4.2 in the middle of the CRQ: a packet whose merge check failed is
+  // checked again once an entry of its type that overlaps it allocates.
+  CoalescerConfig cfg = full_cfg();
+  cfg.enable_dmc = false;
+  cfg.num_mshrs = 3;
+  Harness h(cfg, /*mem_latency=*/300);
+  h.submit(0x10000, ReqType::kLoad, 1);
+  h.submit(0x20000, ReqType::kLoad, 2);
+  h.submit(0x30000, ReqType::kLoad, 3);  // the file is full
+  h.submit(0x40000, ReqType::kLoad, 4);  // blocked CRQ head
+  h.submit(0x50000, ReqType::kLoad, 5);  // fails its merge check
+  h.submit(0x40000, ReqType::kLoad, 6);  // fails its merge check
+  h.kernel.run();
+  // The first fill lets 0x40000 allocate, 0x50000 becomes the blocked head,
+  // and the second 0x40000 merges into the new entry in place.
+  EXPECT_EQ(h.coalescer.stats().crq_merges, 1u);
+  EXPECT_EQ(h.issued.size(), 5u);
+  EXPECT_EQ(h.completions.size(), 6u);
+  EXPECT_TRUE(h.coalescer.idle());
+}
+
 TEST(Coalescer, FenceDrainsBeforeLaterRequests) {
   Harness h(full_cfg());
   for (std::uint64_t i = 0; i < 4; ++i) {

@@ -205,42 +205,83 @@ TEST(DynMshr, FillUnknownIdReturnsNothing) {
 TEST(DynMshr, PropertyTokensNeverLostAcrossRandomTraffic) {
   CoalescerConfig cfg;
   cfg.num_mshrs = 8;
+  cfg.max_subentries = 6;  // full entries force overlapping allocations
   DynamicMshrFile mshr(cfg);
   Xoshiro256 rng(41);
   std::multiset<std::uint64_t> outstanding_tokens;
   std::multiset<std::uint64_t> completed_tokens;
-  std::vector<ReqId> inflight;
+  std::vector<CoalescedPacket> inflight;  // issued packets, ids assigned
   std::uint64_t next_token = 1;
+  // Packets whose try_merge_only() failed. The CRQ's skip rule rests on
+  // this: each keeps failing until an entry with its type that overlaps it
+  // is allocated.
+  std::vector<CoalescedPacket> failed;
+  std::size_t rechecks = 0;
+
+  auto random_packet = [&](Addr block) {
+    const std::uint32_t lines = 1u << rng.below(3);
+    const Addr addr = block + rng.below(4 / lines + 1) * lines * 64;
+    CoalescedPacket p =
+        packet(addr, lines * 64,
+               rng.chance(0.25) ? ReqType::kStore : ReqType::kLoad,
+               next_token);
+    next_token += lines;
+    return p;
+  };
+  auto track = [&](const CoalescedPacket& p) {
+    for (const auto& c : p.constituents) outstanding_tokens.insert(c.token);
+  };
+  auto expect_failed_still_fail = [&] {
+    for (const CoalescedPacket& f : failed) {
+      EXPECT_FALSE(mshr.try_merge_only(f))
+          << "packet 0x" << std::hex << f.addr << " merged";
+      ++rechecks;
+    }
+  };
 
   for (int step = 0; step < 3000; ++step) {
-    if (rng.chance(0.55) || inflight.empty()) {
-      const std::uint32_t lines = 1u << rng.below(3);
-      const Addr addr =
-          rng.below(256) * 256 + rng.below(4 / lines + 1) * lines * 64;
-      CoalescedPacket p =
-          packet(addr, lines * 64,
-                 rng.chance(0.25) ? ReqType::kStore : ReqType::kLoad,
-                 next_token);
+    const double action = rng.uniform();
+    if (action < 0.45 || inflight.empty()) {
+      const CoalescedPacket p = random_packet(rng.below(256) * 256);
       const auto res = mshr.try_insert(p);
       if (res.accepted) {
-        for (const auto& c : p.constituents) {
-          outstanding_tokens.insert(c.token);
+        track(p);
+        for (const auto& np : res.to_issue) {
+          inflight.push_back(np);
+          std::erase_if(failed, [&np](const CoalescedPacket& f) {
+            return f.type == np.type && f.addr < np.end() &&
+                   np.addr < f.end();
+          });
         }
-        next_token += lines;
-        for (const auto& np : res.to_issue) inflight.push_back(np.id);
+        expect_failed_still_fail();  // attaches, disjoint allocations
+      }
+    } else if (action < 0.65) {
+      // A CRQ merge check against the block of an in-flight entry.
+      const Addr block = align_down(
+          inflight[rng.below(inflight.size())].addr, Addr{256});
+      CoalescedPacket p = random_packet(block);
+      if (mshr.try_merge_only(p)) {
+        track(p);
+        expect_failed_still_fail();  // attaches
+      } else {
+        failed.push_back(std::move(p));
+        if (failed.size() > 16) failed.erase(failed.begin());
       }
     } else {
       const auto idx = rng.below(inflight.size());
-      const auto fill = mshr.on_fill(inflight[idx]);
+      const auto fill = mshr.on_fill(inflight[idx].id);
       ASSERT_TRUE(fill.has_value());
       for (const auto& t : fill->targets) completed_tokens.insert(t.token);
       inflight.erase(inflight.begin() + static_cast<std::ptrdiff_t>(idx));
+      expect_failed_still_fail();
     }
     EXPECT_LE(mshr.in_use(), mshr.capacity());
   }
+  EXPECT_GT(rechecks, 1000u);
+  EXPECT_GT(mshr.stats().full_merges, 0u);
   // Drain.
-  for (ReqId id : inflight) {
-    const auto fill = mshr.on_fill(id);
+  for (const auto& p : inflight) {
+    const auto fill = mshr.on_fill(p.id);
     ASSERT_TRUE(fill.has_value());
     for (const auto& t : fill->targets) completed_tokens.insert(t.token);
   }
