@@ -17,7 +17,13 @@
 #   byte_identity_check.sh bench_suite mem=hybrid scheme=cache
 # must hash to the same baseline as the plain run.
 #
-# Usage: byte_identity_check.sh <path-to-bench_suite> [knob=value ...]
+# GOLDEN=<file> checks against another baseline instead. The deferred vault
+# scheduler has its own, generated the same way with sched=frfcfs appended:
+#   GOLDEN=tests/golden/bench_suite_smoke_frfcfs.sha256 \
+#     byte_identity_check.sh bench_suite sched=frfcfs
+#
+# Usage: [GOLDEN=<file>] byte_identity_check.sh <path-to-bench_suite>
+#        [knob=value ...]
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -26,7 +32,8 @@ if [[ $# -lt 1 ]]; then
 fi
 
 bench_suite=$(realpath "$1")
-golden=$(realpath "$(dirname "$0")/../tests/golden/bench_suite_smoke.sha256")
+golden=$(realpath \
+  "${GOLDEN:-$(dirname "$0")/../tests/golden/bench_suite_smoke.sha256}")
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT

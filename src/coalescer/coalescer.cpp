@@ -18,9 +18,12 @@ MemoryCoalescer::MemoryCoalescer(Kernel& kernel, CoalescerConfig cfg,
       sorter_(cfg.window, cfg.pipeline_shape, cfg.tau),
       dmc_(cfg),
       mshrs_(cfg),
-      crq_(cfg.num_mshrs) {
+      keys_(cfg.window),
+      crq_(cfg.num_mshrs),
+      crq_push_busy_(cfg.num_mshrs) {
   assert(issue_ && complete_);
   window_.reserve(cfg_.window);
+  order_.reserve(cfg_.window);
   allocated_.reserve(cfg_.num_mshrs);
 }
 
@@ -52,9 +55,8 @@ void MemoryCoalescer::submit(CoalescerRequest req) {
     pkt.type = req.type;
     pkt.ready_at = kernel_.now();
     pkt.constituents.push_back(std::move(req));
-    std::vector<CoalescedPacket> one;
-    one.push_back(std::move(pkt));
-    enqueue_packets(std::move(one));
+    enqueue_packet(std::move(pkt));
+    drain_crq();
     return;
   }
 
@@ -86,27 +88,34 @@ void MemoryCoalescer::flush_window() {
   timeout_armed_ = false;
   ++stats_.batches;
 
-  std::vector<CoalescerRequest> batch = std::move(window_);
-  window_.clear();
-  window_.reserve(cfg_.window);
-
   // Build the padded key window (§3.4: invalid keys sort to the tail) and
   // run it through the pipelined network for timing; functionally the batch
-  // is ordered by the same 54-bit keys.
-  std::vector<std::uint64_t> keys(cfg_.window, kInvalidKey);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    keys[i] = batch[i].sort_key();
+  // is ordered by the same 54-bit keys, ties in arrival order.
+  std::fill(keys_.begin(), keys_.end(), kInvalidKey);
+  order_.clear();
+  for (std::size_t i = 0; i < window_.size(); ++i) {
+    keys_[i] = window_[i].sort_key();
+    order_.emplace_back(keys_[i], static_cast<std::uint32_t>(i));
   }
   const Cycle sorted_at = sorter_.process(
-      keys, static_cast<std::uint32_t>(batch.size()), kernel_.now());
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const CoalescerRequest& a, const CoalescerRequest& b) {
-                     return a.sort_key() < b.sort_key();
-                   });
+      keys_, static_cast<std::uint32_t>(window_.size()), kernel_.now());
+  std::sort(order_.begin(), order_.end());
+
+  std::vector<CoalescerRequest> batch;
+  if (!spare_batches_.empty()) {
+    batch = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
+  } else {
+    batch.reserve(cfg_.window);
+  }
+  for (const auto& [key, i] : order_) batch.push_back(window_[i]);
+  window_.clear();
 
   kernel_.schedule_at(sorted_at, [this, batch = std::move(batch)]() mutable {
     const Cycle start = kernel_.now();
     DmcResult res = dmc_.coalesce(batch, start);
+    batch.clear();
+    spare_batches_.push_back(std::move(batch));
     const Cycle busy = res.finished_at - start;
     stats_.dmc_latency.add(static_cast<double>(busy));
     if (trace_ != nullptr) {
@@ -117,37 +126,33 @@ void MemoryCoalescer::flush_window() {
     kernel_.schedule_at(
         res.finished_at,
         [this, packets = std::move(res.packets), busy]() mutable {
-          enqueue_packets(std::move(packets), busy);
+          dmc_busy_total_ += busy;
+          for (CoalescedPacket& pkt : packets) enqueue_packet(std::move(pkt));
+          drain_crq();
         });
   });
 }
 
-void MemoryCoalescer::enqueue_packets(std::vector<CoalescedPacket> packets,
-                                      Cycle dmc_busy) {
-  dmc_busy_total_ += dmc_busy;
-  for (CoalescedPacket& pkt : packets) {
-    ++stats_.packets_to_crq;
-    // Fig 13 accounting: DMC busy cycles spent producing CRQ-capacity
-    // consecutive packets (idle arrival gaps excluded — the paper measures
-    // how fast the unit can refill the CRQ, which must hide under the
-    // memory access latency).
-    if (crq_push_busy_.size() == crq_.capacity()) {
-      stats_.crq_fill_time.add(
-          static_cast<double>(dmc_busy_total_ - crq_push_busy_.front()));
-      crq_push_busy_.pop_front();
-    }
-    crq_push_busy_.push_back(dmc_busy_total_);
-    for (const CoalescerRequest& r : pkt.constituents) {
-      stats_.front_latency.add(static_cast<double>(kernel_.now() - r.arrival));
-    }
-
-    if (crq_.full() || !crq_overflow_.empty()) {
-      crq_overflow_.push_back(std::move(pkt));
-    } else {
-      crq_.push(std::move(pkt));
-    }
+void MemoryCoalescer::enqueue_packet(CoalescedPacket pkt) {
+  ++stats_.packets_to_crq;
+  // Fig 13 accounting: DMC busy cycles spent producing CRQ-capacity
+  // consecutive packets (idle arrival gaps excluded — the paper measures
+  // how fast the unit can refill the CRQ, which must hide under the
+  // memory access latency).
+  if (crq_push_busy_.full()) {
+    stats_.crq_fill_time.add(
+        static_cast<double>(dmc_busy_total_ - crq_push_busy_.pop()));
   }
-  drain_crq();
+  crq_push_busy_.push(dmc_busy_total_);
+  for (const CoalescerRequest& r : pkt.constituents) {
+    stats_.front_latency.add(static_cast<double>(kernel_.now() - r.arrival));
+  }
+
+  if (crq_.full() || !crq_overflow_.empty()) {
+    crq_overflow_.push_back(std::move(pkt));
+  } else {
+    crq_.push(std::move(pkt));
+  }
 }
 
 void MemoryCoalescer::drain_crq() {
@@ -160,43 +165,59 @@ void MemoryCoalescer::drain_crq() {
   };
   refill();
   auto gained_coverage = [this](const CoalescedPacket& pkt) {
-    return std::any_of(allocated_.begin(), allocated_.end(),
-                       [&pkt](const Allocation& a) {
-                         return a.type == pkt.type && a.base < pkt.end() &&
-                                pkt.addr < a.end;
-                       });
+    bool gained = false;
+    for (const Allocation& a : allocated_) {
+      gained |= (a.type == pkt.type) & (a.base < pkt.end()) &
+                (pkt.addr < a.end);
+    }
+    return gained;
   };
 
   while (!crq_.empty()) {
-    DynamicMshrFile::InsertResult res = mshrs_.try_insert(crq_.front());
-    if (res.accepted) {
-      note_issued_or_merged(crq_.front(), kernel_.now());
-      crq_.pop();
-      refill();
-      for (CoalescedPacket& pkt : res.to_issue) {
-        allocated_.push_back({pkt.addr, pkt.end(), pkt.type});
-        issue_packet(std::move(pkt));
+    // A head rejected at the file's current version would be rejected
+    // again: skip the call, but count the reject it would have counted.
+    if (head_rejected_at_ == mshrs_.version()) {
+      mshrs_.count_skipped_reject();
+    } else {
+      const DynamicMshrFile::InsertResult res =
+          mshrs_.try_insert(crq_.front());
+      if (res.accepted) {
+        note_issued_or_merged(crq_.front(), kernel_.now());
+        crq_.pop();
+        head_rejected_at_ = 0;
+        if (crq_checked_ > 0) --crq_checked_;  // the new head was checked
+        refill();
+        for (const CoalescedPacket& pkt : res.to_issue) {
+          allocated_.push_back({pkt.addr, pkt.end(), pkt.type});
+          issue_packet(pkt);
+        }
+        continue;
       }
-      continue;
+      head_rejected_at_ = mshrs_.version();
     }
     // Head blocked on a free entry. §4.2: the rest of the CRQ still gets
     // compared against all MSHRs and fully-covered packets merge in place.
     // A packet whose last check failed can only merge now if an entry of
     // its type allocated since then overlaps it (see try_merge_only), so
-    // only then is it checked again.
-    for (std::size_t i = 1; i < crq_.size();) {
+    // only then is it checked again. The checked packets are the first
+    // crq_checked_ behind the head; with no allocation, the pass starts
+    // right after them.
+    std::size_t checked_end = 1 + crq_checked_;
+    for (std::size_t i = allocated_.empty() ? checked_end : 1;
+         i < crq_.size();) {
       CoalescedPacket& pkt = crq_.at(i);
-      if (pkt.merge_failed && !gained_coverage(pkt)) {
+      if (i < checked_end && !gained_coverage(pkt)) {
         ++i;
       } else if (mshrs_.try_merge_only(pkt)) {
         ++stats_.crq_merges;
         note_issued_or_merged(pkt, kernel_.now());
         crq_.erase_at(i);
+        if (i < checked_end) --checked_end;
       } else {
-        pkt.merge_failed = true;
         ++i;
       }
     }
+    crq_checked_ = crq_.size() - 1;
     break;  // wait for an on_memory_response() to free an entry
   }
   // A drain ends with a merge pass or an empty CRQ, so a packet's last
@@ -211,7 +232,7 @@ void MemoryCoalescer::drain_crq() {
   maybe_release_fence();
 }
 
-void MemoryCoalescer::issue_packet(CoalescedPacket pkt) {
+void MemoryCoalescer::issue_packet(const CoalescedPacket& pkt) {
   ++stats_.memory_requests;
   if (pkt.bytes <= cfg_.line_bytes) {
     ++stats_.size_64;

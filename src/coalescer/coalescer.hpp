@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "coalescer/config.hpp"
@@ -120,12 +121,11 @@ class MemoryCoalescer {
  private:
   void flush_window();
   void arm_timeout();
-  /// @p dmc_busy: cycles the DMC unit spent producing this batch (drives the
-  /// Fig 13 fill-time accounting; 0 for bypass/conventional packets).
-  void enqueue_packets(std::vector<CoalescedPacket> packets,
-                       Cycle dmc_busy = 0);
+  /// Push one packet into the CRQ (or its overflow buffer); the caller
+  /// drains the CRQ after its last push.
+  void enqueue_packet(CoalescedPacket pkt);
   void drain_crq();
-  void issue_packet(CoalescedPacket pkt);
+  void issue_packet(const CoalescedPacket& pkt);
   void note_issued_or_merged(const CoalescedPacket& pkt, Cycle when);
   void maybe_release_fence();
   [[nodiscard]] bool bypass_active() const noexcept;
@@ -142,9 +142,22 @@ class MemoryCoalescer {
   std::vector<CoalescerRequest> window_;
   std::uint64_t timeout_gen_ = 0;   ///< invalidates stale timeout events
   bool timeout_armed_ = false;
+  std::vector<std::uint64_t> keys_;  ///< the sorter's padded key window
+  /// (sort key, window index) per request: sorted, the stable key order.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order_;
+  /// Emptied batch buffers (capacity window) that flush_window() swaps in
+  /// for window_; a batch comes back once the DMC unit has coalesced it.
+  std::vector<std::vector<CoalescerRequest>> spare_batches_;
 
   RingBuffer<CoalescedPacket> crq_;
   std::deque<CoalescedPacket> crq_overflow_;  ///< packets waiting for CRQ room
+  /// Packets right behind the CRQ head whose last merge check failed. They
+  /// form a prefix: every merge pass leaves each waiting packet checked,
+  /// and new packets join at the tail.
+  std::size_t crq_checked_ = 0;
+  /// mshrs_.version() when the CRQ head was last rejected, or 0 (versions
+  /// start at 1) while the head has not been rejected.
+  std::uint64_t head_rejected_at_ = 0;
   /// MSHR entries the running drain_crq() call has allocated. Only these
   /// can turn a waiting packet's failed merge check into a success.
   struct Allocation {
@@ -156,7 +169,7 @@ class MemoryCoalescer {
   /// Fig 13 fill-time tracking: cumulative DMC busy cycles at each push; a
   /// sample is the busy time spanned by CRQ-capacity consecutive pushes.
   Cycle dmc_busy_total_ = 0;
-  std::deque<Cycle> crq_push_busy_;
+  RingBuffer<Cycle> crq_push_busy_;
 
   bool fence_pending_ = false;
   std::deque<CoalescerRequest> fence_hold_;

@@ -8,36 +8,6 @@
 
 namespace hmcc::coalescer {
 
-void packetize_line_run(const CoalescerConfig& cfg, Addr first_line_addr,
-                        std::span<std::vector<CoalescerRequest>> lines,
-                        ReqType type, Cycle ready_at,
-                        std::vector<CoalescedPacket>& out) {
-  const auto count = static_cast<std::uint32_t>(lines.size());
-  const std::uint32_t line = cfg.line_bytes;
-  std::uint32_t emitted = 0;
-  while (emitted < count) {
-    // Largest power-of-two chunk of lines that still fits the run and the
-    // maximum packet. (Runs never cross a block, so no boundary check.)
-    std::uint32_t chunk = 1;
-    while (chunk * 2 <= std::min(count - emitted, cfg.max_lines_per_packet())) {
-      chunk *= 2;
-    }
-    CoalescedPacket pkt{};
-    pkt.addr = first_line_addr + static_cast<Addr>(emitted) * line;
-    pkt.bytes = chunk * line;
-    pkt.type = type;
-    pkt.ready_at = ready_at;
-    for (std::uint32_t i = 0; i < chunk; ++i) {
-      auto& group = lines[emitted + i];
-      pkt.constituents.insert(pkt.constituents.end(),
-                              std::make_move_iterator(group.begin()),
-                              std::make_move_iterator(group.end()));
-    }
-    out.push_back(std::move(pkt));
-    emitted += chunk;
-  }
-}
-
 DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
                             Cycle start) const {
   // Precondition: ascending sort-key order (checked in debug builds).
@@ -54,12 +24,10 @@ DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
   std::size_t i = 0;
   while (i < sorted.size()) {
     // Open a run at request i.
+    const std::size_t run_begin = i;
     const ReqType type = sorted[i].type;
-    const Addr run_base = align_down(sorted[i].addr, line);
-    const Addr run_block = align_down(run_base, block);
-    std::vector<std::vector<CoalescerRequest>> groups;
-    groups.push_back({sorted[i]});
-    Addr last_line = run_base;
+    const Addr run_block = align_down(sorted[i].addr, block);
+    Addr last_line = align_down(sorted[i].addr, line);
     t += cfg_.tau;  // compare slot of the run opener
     ++i;
 
@@ -70,7 +38,6 @@ DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
       t += cfg_.tau;  // every candidate spends a compare slot
       if (next_line == last_line) {
         // Identical line: dedup-merge into the current line group.
-        groups.back().push_back(next);
         t += cfg_.tau;  // merge stage
         ++result.merge_ops;
         ++i;
@@ -78,7 +45,6 @@ DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
       }
       if (next_line == last_line + line &&
           align_down(next_line, block) == run_block) {
-        groups.push_back({next});
         last_line = next_line;
         t += cfg_.tau;  // merge stage
         ++result.merge_ops;
@@ -91,7 +57,17 @@ DmcResult DmcUnit::coalesce(std::span<const CoalescerRequest> sorted,
       t -= cfg_.tau;
       break;
     }
-    packetize_line_run(cfg_, run_base, groups, type, t, result.packets);
+    packetize_line_run(
+        cfg_, sorted.subspan(run_begin, i - run_begin),
+        [&](Addr addr, std::uint32_t bytes,
+            std::span<const CoalescerRequest> constituents) {
+          CoalescedPacket& pkt = result.packets.emplace_back();
+          pkt.addr = addr;
+          pkt.bytes = bytes;
+          pkt.type = type;
+          pkt.ready_at = t;
+          pkt.constituents.assign(constituents.begin(), constituents.end());
+        });
   }
   result.finished_at = t;
   return result;

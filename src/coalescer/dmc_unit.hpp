@@ -14,12 +14,15 @@
 // take longer to fill the CRQ — the effect Figure 13 reports.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "coalescer/config.hpp"
 #include "coalescer/request.hpp"
+#include "common/bits.hpp"
 #include "common/types.hpp"
 
 namespace hmcc::coalescer {
@@ -31,15 +34,40 @@ struct DmcResult {
 };
 
 /// The line-granularity packet rule of both coalescing phases (the DMC unit
-/// and the dynamic MSHRs' re-split): cut a run of lines.size() contiguous
-/// lines from @p first_line_addr, which must lie inside one max-packet
-/// block, into packets of the largest power-of-two line count that fits the
-/// rest of the run and the maximum packet, and append them to @p out.
-/// lines[i] holds the requests of line i; they move into the packets.
-void packetize_line_run(const CoalescerConfig& cfg, Addr first_line_addr,
-                        std::span<std::vector<CoalescerRequest>> lines,
-                        ReqType type, Cycle ready_at,
-                        std::vector<CoalescedPacket>& out);
+/// and the dynamic MSHRs' re-split). @p run holds the requests of a run of
+/// contiguous lines inside one max-packet block, grouped by line in
+/// ascending line order. The run is cut into packets of the largest
+/// power-of-two line count that fits the rest of the run and the maximum
+/// packet, and `emit(addr, bytes, constituents)` is called for each packet
+/// in address order; `constituents` is the sub-span of @p run that the
+/// packet's lines hold, so constituent order is run order.
+template <typename Emit>
+void packetize_line_run(const CoalescerConfig& cfg,
+                        std::span<const CoalescerRequest> run, Emit&& emit) {
+  assert(!run.empty());
+  const Addr line = cfg.line_bytes;
+  const Addr first_line = align_down(run.front().addr, line);
+  const auto count = static_cast<std::uint32_t>(
+      (align_down(run.back().addr, line) - first_line) / line + 1);
+  std::uint32_t emitted = 0;
+  std::size_t begin = 0;
+  while (emitted < count) {
+    // Largest power-of-two chunk of lines that still fits the run and the
+    // maximum packet. (Runs never cross a block, so no boundary check.)
+    std::uint32_t chunk = 1;
+    while (chunk * 2 <= std::min(count - emitted, cfg.max_lines_per_packet())) {
+      chunk *= 2;
+    }
+    const Addr addr = first_line + static_cast<Addr>(emitted) * line;
+    const Addr end = addr + static_cast<Addr>(chunk) * line;
+    std::size_t stop = begin;
+    while (stop < run.size() && run[stop].addr < end) ++stop;
+    emit(addr, static_cast<std::uint32_t>(end - addr),
+         run.subspan(begin, stop - begin));
+    begin = stop;
+    emitted += chunk;
+  }
+}
 
 /// Payload-granularity coalescing, the paper's accounting for Figures 9-10
 /// ("coalesce ... based on the actual requested data size"): merge @p sorted

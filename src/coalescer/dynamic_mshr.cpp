@@ -9,18 +9,21 @@
 namespace hmcc::coalescer {
 
 DynamicMshrFile::DynamicMshrFile(const CoalescerConfig& cfg)
-    : cfg_(cfg), entries_(cfg.num_mshrs), planned_attach_(cfg.num_mshrs) {
+    : cfg_(cfg),
+      entries_(cfg.num_mshrs),
+      keys_(cfg.num_mshrs),
+      planned_attach_(cfg.num_mshrs),
+      candidates_(cfg.num_mshrs) {
   hit_entry_.reserve(cfg.window);
   remainder_.reserve(cfg.window);
 }
 
-bool DynamicMshrFile::covers(const Entry& e, Addr line_addr) const noexcept {
-  return line_addr >= e.base &&
-         line_addr < e.base + static_cast<Addr>(e.size_lines) * cfg_.line_bytes;
+CoalescedPacket& DynamicMshrFile::next_issue_slot() {
+  if (issue_count_ == to_issue_.size()) to_issue_.emplace_back();
+  return to_issue_[issue_count_++];
 }
 
-void DynamicMshrFile::repacketize(ReqType type, Cycle ready_at,
-                                  std::vector<CoalescedPacket>& out) {
+void DynamicMshrFile::repacketize(ReqType type, Cycle ready_at) {
   const Addr line = cfg_.line_bytes;
   const Addr block = cfg_.max_packet_bytes;
   std::sort(remainder_.begin(), remainder_.end(),
@@ -28,29 +31,30 @@ void DynamicMshrFile::repacketize(ReqType type, Cycle ready_at,
               return a.addr < b.addr;
             });
 
-  // Group constituents by line into runs of contiguous lines inside one
+  // Cut the sorted constituents into runs of contiguous lines inside one
   // max-packet block, then cut each run with the DMC unit's packet rule.
-  std::vector<std::vector<CoalescerRequest>> run;
-  Addr run_base = 0;
-  Addr last_line = 0;
-  for (CoalescerRequest& r : remainder_) {
-    const Addr la = align_down(r.addr, line);
-    if (!run.empty() && la == last_line) {
-      run.back().push_back(std::move(r));
-      continue;
+  const auto emit = [&](Addr addr, std::uint32_t bytes,
+                        std::span<const CoalescerRequest> constituents) {
+    CoalescedPacket& pkt = next_issue_slot();
+    pkt.addr = addr;
+    pkt.bytes = bytes;
+    pkt.type = type;
+    pkt.ready_at = ready_at;
+    pkt.constituents.assign(constituents.begin(), constituents.end());
+  };
+  const std::span<const CoalescerRequest> sorted(remainder_);
+  std::size_t run_begin = 0;
+  for (std::size_t i = 1; i <= sorted.size(); ++i) {
+    if (i < sorted.size()) {
+      const Addr prev = align_down(sorted[i - 1].addr, line);
+      const Addr la = align_down(sorted[i].addr, line);
+      if (la == prev || (la == prev + line &&
+                         align_down(la, block) == align_down(prev, block))) {
+        continue;
+      }
     }
-    const bool same_block =
-        align_down(la, block) == align_down(run_base, block);
-    if (!run.empty() && (la != last_line + line || !same_block)) {
-      packetize_line_run(cfg_, run_base, run, type, ready_at, out);
-      run.clear();
-    }
-    if (run.empty()) run_base = la;
-    run.emplace_back().push_back(std::move(r));
-    last_line = la;
-  }
-  if (!run.empty()) {
-    packetize_line_run(cfg_, run_base, run, type, ready_at, out);
+    packetize_line_run(cfg_, sorted.subspan(run_begin, i - run_begin), emit);
+    run_begin = i;
   }
 }
 
@@ -58,18 +62,36 @@ std::size_t DynamicMshrFile::plan_overlap(const CoalescedPacket& pkt) {
   // For each constituent line, find a same-type in-flight entry with
   // subentry room that covers it. Phase-2 merging can be disabled for the
   // Figure 8 configuration sweep.
-  hit_entry_.assign(pkt.constituents.size(), nullptr);
   if (!cfg_.enable_mshr_merge) return 0;
-  std::fill(planned_attach_.begin(), planned_attach_.end(), 0);
+  // Compare the packet with every entry's key at once, as the paper's
+  // parallel comparators do: the candidates are the entries of the
+  // packet's type whose lines overlap its lines. The scan has no branch;
+  // each entry index is written and kept only when it matches. Only a
+  // candidate can cover a constituent, and candidates keep entry order, so
+  // first-fit over them is first-fit over the whole file.
+  const Addr first = pkt.addr;
+  const Addr last = pkt.end() - cfg_.line_bytes;
+  std::size_t n = 0;
+  for (std::size_t e = 0; e < keys_.size(); ++e) {
+    const MatchKey& k = keys_[e];
+    candidates_[n] = static_cast<std::uint32_t>(e);
+    n += static_cast<std::size_t>((k.type == pkt.type) &
+                                  (k.first_line <= last) &
+                                  (first <= k.last_line));
+  }
+  if (n == 0) return 0;
+
+  hit_entry_.assign(pkt.constituents.size(), nullptr);
+  for (std::size_t i = 0; i < n; ++i) planned_attach_[candidates_[i]] = 0;
   std::size_t covered = 0;
   for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
     const Addr line = align_down(pkt.constituents[c].addr, cfg_.line_bytes);
-    for (std::size_t e = 0; e < entries_.size(); ++e) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t e = candidates_[i];
+      const MatchKey& k = keys_[e];
       Entry& entry = entries_[e];
-      if (!entry.valid || entry.type != pkt.type || !covers(entry, line)) {
-        continue;
-      }
-      if (entry.subs.size() + planned_attach_[e] >= cfg_.max_subentries) {
+      if (line < k.first_line || line > k.last_line ||
+          entry.subs.size() + planned_attach_[e] >= cfg_.max_subentries) {
         continue;
       }
       hit_entry_[c] = &entry;
@@ -101,6 +123,7 @@ bool DynamicMshrFile::try_merge_only(const CoalescedPacket& pkt) {
   if (covered != pkt.constituents.size()) return false;
   commit_attaches(pkt);
   ++stats_.full_merges;
+  ++version_;
   return true;
 }
 
@@ -108,67 +131,65 @@ DynamicMshrFile::InsertResult DynamicMshrFile::try_insert(
     const CoalescedPacket& pkt) {
   assert(pkt.bytes % cfg_.line_bytes == 0 &&
          "dynamic MSHRs operate at line granularity");
-  InsertResult result;
+  issue_count_ = 0;
 
-  // --- Planning pass (touches only the planning buffers) -----------------
+  // --- Planning pass (touches only the planning and result buffers) ------
   const std::size_t covered = plan_overlap(pkt);
   if (covered == 0) {
     // No overlap at all: the packet allocates as-is (no re-split).
     if (full()) {
       ++stats_.rejects_full;
-      return result;  // accepted = false; CRQ retries later
+      return {};  // accepted = false; CRQ retries later
     }
-    result.to_issue.push_back(pkt);
+    next_issue_slot() = pkt;
   } else if (covered < pkt.constituents.size()) {
     remainder_.clear();
     for (std::size_t c = 0; c < pkt.constituents.size(); ++c) {
       if (!hit_entry_[c]) remainder_.push_back(pkt.constituents[c]);
     }
-    repacketize(pkt.type, pkt.ready_at, result.to_issue);
-    if (result.to_issue.size() > capacity() - used_) {
+    repacketize(pkt.type, pkt.ready_at);
+    if (issue_count_ > capacity() - used_) {
       ++stats_.rejects_full;
-      result.to_issue.clear();
-      return result;
+      return {};
     }
   }
 
   // --- Commit pass -------------------------------------------------------
-  if (covered == pkt.constituents.size()) {
-    ++stats_.full_merges;
-  } else if (covered > 0) {
-    ++stats_.partial_merges;
-  }
-  commit_attaches(pkt);
-  for (CoalescedPacket& np : result.to_issue) {
-    Entry* slot = nullptr;
-    for (Entry& e : entries_) {
-      if (!e.valid) {
-        slot = &e;
-        break;
-      }
+  if (covered > 0) {
+    if (covered == pkt.constituents.size()) {
+      ++stats_.full_merges;
+    } else {
+      ++stats_.partial_merges;
     }
-    assert(slot && "capacity was checked in the planning pass");
-    slot->valid = true;
-    slot->type = np.type;
-    slot->base = np.addr;
-    slot->size_lines = np.bytes / cfg_.line_bytes;
-    slot->issue_id = next_issue_id_++;
-    slot->subs.clear();
+    commit_attaches(pkt);
+  }
+  const std::span<CoalescedPacket> issued(to_issue_.data(), issue_count_);
+  for (CoalescedPacket& np : issued) {
+    std::size_t slot = 0;
+    while (slot < entries_.size() && entries_[slot].valid) ++slot;
+    assert(slot < entries_.size() && "capacity was checked in planning");
+    Entry& e = entries_[slot];
+    e.valid = true;
+    e.type = np.type;
+    e.base = np.addr;
+    e.size_lines = np.bytes / cfg_.line_bytes;
+    e.issue_id = next_issue_id_++;
+    e.subs.clear();
     for (const CoalescerRequest& r : np.constituents) {
       const Addr line = align_down(r.addr, cfg_.line_bytes);
       Subentry s{};
-      s.line_id =
-          static_cast<std::uint8_t>((line - slot->base) / cfg_.line_bytes);
+      s.line_id = static_cast<std::uint8_t>((line - e.base) / cfg_.line_bytes);
       s.token = r.token;
       s.line_addr = line;
-      slot->subs.push_back(s);
+      e.subs.push_back(s);
     }
+    keys_[slot] = MatchKey{np.addr, np.end() - cfg_.line_bytes, np.type};
     ++used_;
     ++stats_.allocations;
-    np.id = slot->issue_id;
+    np.id = e.issue_id;
   }
-  result.accepted = true;
-  return result;
+  ++version_;
+  return {true, issued};
 }
 
 DynamicMshrFile::Entry* DynamicMshrFile::find_by_issue_id(ReqId id) {
@@ -185,18 +206,21 @@ std::optional<DynamicMshrFile::FillResult> DynamicMshrFile::on_fill(ReqId id) {
   r.base = e->base;
   r.bytes = e->size_lines * cfg_.line_bytes;
   r.type = e->type;
-  r.targets.reserve(e->subs.size());
+  targets_.clear();
   for (const Subentry& s : e->subs) {
     // Equation (2): subentry address derives from base + lineID * line size.
     const Addr derived =
         e->base + static_cast<Addr>(s.line_id) * cfg_.line_bytes;
     assert(derived == s.line_addr);
-    r.targets.push_back(DynMshrTarget{derived, s.token});
+    targets_.push_back(DynMshrTarget{derived, s.token});
   }
+  r.targets = targets_;
   e->valid = false;
   e->subs.clear();
+  keys_[static_cast<std::size_t>(e - entries_.data())] = MatchKey{};
   --used_;
   ++stats_.frees;
+  ++version_;
   return r;
 }
 

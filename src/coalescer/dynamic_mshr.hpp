@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "coalescer/config.hpp"
@@ -52,11 +53,14 @@ class DynamicMshrFile {
   struct InsertResult {
     bool accepted = false;
     /// Packets that allocated entries and must be issued to memory; their
-    /// .id fields carry the assigned entry handles for on_fill().
-    std::vector<CoalescedPacket> to_issue;
+    /// .id fields carry the assigned entry handles for on_fill(). A view of
+    /// a buffer the file owns and reuses: it stays valid until the next
+    /// try_insert() call on this file, so copy what must outlive that.
+    std::span<const CoalescedPacket> to_issue;
   };
 
-  /// Try to insert coalesced packet @p pkt (line-granularity).
+  /// Try to insert coalesced packet @p pkt (line-granularity; every
+  /// constituent lies inside [addr, end())).
   InsertResult try_insert(const CoalescedPacket& pkt);
 
   /// §4.2 optimization: while a packet waits in the CRQ it is compared with
@@ -75,11 +79,21 @@ class DynamicMshrFile {
     Addr base = 0;
     std::uint32_t bytes = 0;
     ReqType type = ReqType::kLoad;
-    std::vector<DynMshrTarget> targets;
+    /// A view of a buffer the file owns and reuses: it stays valid until
+    /// the next on_fill() call on this file.
+    std::span<const DynMshrTarget> targets;
   };
 
   /// Complete the entry issued as packet-id @p id; frees the entry.
   [[nodiscard]] std::optional<FillResult> on_fill(ReqId id);
+
+  /// Bumped by every fill, attach and allocation, the only changes to the
+  /// entries. try_insert() and try_merge_only() read nothing else, so a
+  /// packet rejected at one version is rejected again at the same version.
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
+  /// Count a try_insert() that the caller skipped because it would repeat
+  /// a reject at the same version().
+  void count_skipped_reject() noexcept { ++stats_.rejects_full; }
 
   [[nodiscard]] std::uint32_t in_use() const noexcept { return used_; }
   [[nodiscard]] std::uint32_t capacity() const noexcept {
@@ -108,30 +122,46 @@ class DynamicMshrFile {
     ReqId issue_id = 0;
     std::vector<Subentry> subs;
   };
+  /// What the comparators match, one per entry beside entries_: the
+  /// entry's first and last line and its type. A free entry's key has
+  /// first_line > last_line, so it matches no line.
+  struct MatchKey {
+    Addr first_line = ~Addr{0};
+    Addr last_line = 0;
+    ReqType type = ReqType::kLoad;
+  };
 
-  [[nodiscard]] bool covers(const Entry& e, Addr line_addr) const noexcept;
   /// Planning pass: map each constituent to a coverable entry (or null) in
-  /// hit_entry_. Returns the number of covered constituents. Mutates only
-  /// the planning buffers.
+  /// hit_entry_. Returns the number of covered constituents; hit_entry_ is
+  /// only written when that is non-zero. Mutates only the planning buffers.
   std::size_t plan_overlap(const CoalescedPacket& pkt);
   /// Commit pass: attach the constituents planned in hit_entry_ as
   /// subentries.
   void commit_attaches(const CoalescedPacket& pkt);
   /// Re-packetize the constituents in remainder_ into legal packets,
-  /// appended to @p out.
-  void repacketize(ReqType type, Cycle ready_at,
-                   std::vector<CoalescedPacket>& out);
+  /// appended to the issue buffer.
+  void repacketize(ReqType type, Cycle ready_at);
+  /// The next slot of the issue buffer; it keeps the constituent storage
+  /// of earlier calls.
+  CoalescedPacket& next_issue_slot();
   Entry* find_by_issue_id(ReqId id);
 
   CoalescerConfig cfg_;
   std::vector<Entry> entries_;
+  std::vector<MatchKey> keys_;
   std::uint32_t used_ = 0;
   ReqId next_issue_id_ = 1;
+  std::uint64_t version_ = 1;
   DynMshrStats stats_;
   // Planning buffers, reused by every call (sized by window and num_mshrs).
   std::vector<Entry*> hit_entry_;               ///< per constituent
   std::vector<std::uint32_t> planned_attach_;   ///< per entry
+  std::vector<std::uint32_t> candidates_;       ///< per entry
   std::vector<CoalescerRequest> remainder_;     ///< uncovered constituents
+  // Result buffers behind the views try_insert() and on_fill() return.
+  std::vector<CoalescedPacket> to_issue_;
+  std::size_t issue_count_ = 0;  ///< slots of to_issue_ in the last result
+  std::vector<DynMshrTarget> targets_;
 };
 
 }  // namespace hmcc::coalescer

@@ -68,9 +68,6 @@ struct CoalescedPacket {
   Addr addr = 0;         ///< base byte address
   std::uint32_t bytes = 0;  ///< wire size (64/128/256 in line mode)
   ReqType type = ReqType::kLoad;
-  /// Set by MemoryCoalescer::drain_crq() when the packet's last §4.2 merge
-  /// check in the CRQ failed.
-  bool merge_failed = false;
   std::vector<CoalescerRequest> constituents;
   Cycle ready_at = 0;    ///< cycle the packet left the DMC unit
 

@@ -27,7 +27,7 @@ class RingBuffer {
   /// Push to the back; returns false (and drops nothing) when full.
   bool push(T value) {
     if (full()) return false;
-    slots_[(head_ + size_) % slots_.size()] = std::move(value);
+    slots_[wrap(head_ + size_)] = std::move(value);
     ++size_;
     return true;
   }
@@ -44,17 +44,17 @@ class RingBuffer {
   /// Element @p i positions behind the front (0 == front).
   [[nodiscard]] T& at(std::size_t i) {
     assert(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
   }
   [[nodiscard]] const T& at(std::size_t i) const {
     assert(i < size_);
-    return slots_[(head_ + i) % slots_.size()];
+    return slots_[wrap(head_ + i)];
   }
 
   T pop() {
     assert(!empty());
     T v = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    head_ = wrap(head_ + 1);
     --size_;
     return v;
   }
@@ -76,6 +76,12 @@ class RingBuffer {
   }
 
  private:
+  /// Slot of position @p i < 2 * capacity(): one compare and subtract, no
+  /// division.
+  [[nodiscard]] std::size_t wrap(std::size_t i) const noexcept {
+    return i >= slots_.size() ? i - slots_.size() : i;
+  }
+
   std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -92,49 +92,39 @@ void HmcDevice::submit(const RequestPacket& pkt,
                          pkt.request_flits(), req_done + cfg_.serdes_latency)
           : req_done + cfg_.serdes_latency + cfg_.xbar_latency;
 
-  ResponsePacket resp{};
-  resp.id = pkt.id;
-  resp.cmd = pkt.cmd;
-  resp.addr = pkt.addr;
-  resp.submitted_at = now;
+  if (free_ctx_.empty()) {
+    pending_.emplace_back();
+    free_ctx_.push_back(pending_.size());  // slab index + 1
+  }
+  const std::uint64_t token = free_ctx_.back();
+  free_ctx_.pop_back();
+  PendingCtx& ctx = pending_[token - 1];
+  ctx.link_idx = link_idx;
+  ctx.resp_flits = pkt.response_flits();
+  ctx.resp = ResponsePacket{};
+  ctx.resp.id = pkt.id;
+  ctx.resp.cmd = pkt.cmd;
+  ctx.resp.addr = pkt.addr;
+  ctx.resp.submitted_at = now;
+  ctx.cb = std::move(on_response);
 
+  Vault& vault = vaults_[d.vault];
   if (deferred_sched()) {
     // FR-FCFS / batch: admit into the vault queue; a per-vault drain event
     // serves policy picks at their decision cycles.
-    Vault& vault = vaults_[d.vault];
     if (vault.full()) {
       // Overflow: force one pick out of the queue to make room. Its
       // decision cycle is the queue's natural next_ready(), which may lie
       // ahead of now — the timing math is pure and the completion still
       // lands in the future.
-      finish_deferred(d.vault,
-                      vault.serve_next(std::max(now, vault.next_ready())));
+      respond(d.vault, vault.serve_next(std::max(now, vault.next_ready())));
     }
-    std::uint64_t token;
-    if (!free_ctx_.empty()) {
-      token = free_ctx_.back();
-      free_ctx_.pop_back();
-    } else {
-      pending_.emplace_back();
-      token = pending_.size();  // slab index + 1
-    }
-    PendingCtx& ctx = pending_[token - 1];
-    ctx.link_idx = link_idx;
-    ctx.resp_flits = pkt.response_flits();
-    ctx.resp = resp;
-    ctx.cb = std::move(on_response);
     vault.enqueue(d, pkt.data_bytes(), vault_arrival, token);
     pump_vault(d.vault);
     return;
   }
-
-  const VaultServiceResult served =
-      vaults_[d.vault].serve(d, pkt.data_bytes(), vault_arrival);
-  const Cycle resp_at_link = response_at_link(
-      link_idx, vault_quadrant, pkt.response_flits(), served.data_ready);
-  const Cycle completed = link.send_response(pkt.response_flits(), resp_at_link);
-  resp.completed_at = completed;
-  commit(completed, d.vault, resp, std::move(on_response));
+  respond(d.vault,
+          VaultServed{token, vault.serve(d, pkt.data_bytes(), vault_arrival)});
 }
 
 void HmcDevice::pump_vault(std::uint32_t vault_idx) {
@@ -143,7 +133,7 @@ void HmcDevice::pump_vault(std::uint32_t vault_idx) {
   // controller pipeline occupies vault_ctrl_latency cycles, so next_ready()
   // advances and the loop terminates.
   while (!vault.queue_empty() && vault.next_ready() <= kernel_.now()) {
-    finish_deferred(vault_idx, vault.serve_next(kernel_.now()));
+    respond(vault_idx, vault.serve_next(kernel_.now()));
   }
   if (vault.queue_empty()) return;
   const Cycle t = vault.next_ready();  // > now: the loop above drained to it
@@ -158,8 +148,7 @@ void HmcDevice::pump_vault(std::uint32_t vault_idx) {
   });
 }
 
-void HmcDevice::finish_deferred(std::uint32_t vault_idx,
-                                const VaultServed& served) {
+void HmcDevice::respond(std::uint32_t vault_idx, const VaultServed& served) {
   assert(served.token != 0);
   PendingCtx& ctx = pending_[served.token - 1];
   const std::uint32_t vault_quadrant =
@@ -169,15 +158,15 @@ void HmcDevice::finish_deferred(std::uint32_t vault_idx,
   const Cycle completed =
       links_[ctx.link_idx].send_response(ctx.resp_flits, resp_at_link);
   ctx.resp.completed_at = completed;
-  commit(completed, vault_idx, ctx.resp, std::move(ctx.cb));
-  ctx.cb = nullptr;
-  free_ctx_.push_back(served.token);
-}
-
-void HmcDevice::commit(Cycle completed, std::uint32_t vault,
-                       ResponsePacket resp, ResponseCallback cb) {
-  kernel_.schedule_at(completed, [this, vault, resp,
-                                  cb = std::move(cb)]() mutable {
+  kernel_.schedule_at(completed, [this, vault = vault_idx,
+                                  token = served.token] {
+    // Free the slot first: the callback may submit, which may grow the
+    // slab and take this token again.
+    PendingCtx& done = pending_[token - 1];
+    const ResponsePacket resp = done.resp;
+    const ResponseCallback cb = std::move(done.cb);
+    done.cb = nullptr;
+    free_ctx_.push_back(token);
     wire_.latency.add(static_cast<double>(resp.latency()));
     --outstanding_;
     --vault_depth_[vault];

@@ -109,9 +109,9 @@ class HmcDevice {
   [[nodiscard]] desc::StatSet stat_descriptors() const;
 
  private:
-  /// Response context of one deferred (queued) transaction, held from
-  /// admission to service. Slab-allocated; VaultRequest::token is
-  /// slab index + 1 (0 = no context, the pass-through path).
+  /// Response context of one transaction, held from submission to its
+  /// completion event. Slab-allocated and reused; a transaction's token is
+  /// its slab index + 1 (VaultRequest::token under deferred scheduling).
   struct PendingCtx {
     std::uint32_t link_idx = 0;
     std::uint32_t resp_flits = 0;
@@ -139,12 +139,9 @@ class HmcDevice {
   /// counter invalidates superseded events).
   void pump_vault(std::uint32_t vault_idx);
 
-  /// Route a served deferred entry's response and schedule its completion.
-  void finish_deferred(std::uint32_t vault_idx, const VaultServed& served);
-
-  /// Schedule the completion event for a served transaction.
-  void commit(Cycle completed, std::uint32_t vault, ResponsePacket resp,
-              ResponseCallback cb);
+  /// Route a served transaction's response back to its link and schedule
+  /// its completion event, which frees its slot and runs its callback.
+  void respond(std::uint32_t vault_idx, const VaultServed& served);
 
   Kernel& kernel_;
   HmcConfig cfg_;
@@ -164,9 +161,10 @@ class HmcDevice {
   std::uint64_t noc_contended_ = 0;
   std::uint32_t next_host_link_ = 0;  ///< rotating entry link (noc=quadrant)
 
-  // --- deferred-scheduling state (inert under sched=fcfs) ---
   std::vector<PendingCtx> pending_;
   std::vector<std::uint64_t> free_ctx_;  ///< reusable pending_ tokens
+
+  // --- deferred-scheduling state (inert under sched=fcfs) ---
   std::vector<std::uint64_t> drain_gen_;
   std::vector<Cycle> drain_at_;
   std::vector<std::uint8_t> drain_armed_;

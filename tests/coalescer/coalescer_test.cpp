@@ -239,6 +239,70 @@ TEST(Coalescer, WaitingPacketMergesIntoEntryAllocatedAfterItsCheck) {
   EXPECT_TRUE(h.coalescer.idle());
 }
 
+TEST(Coalescer, MergeInsideCheckedPrefixStillChecksTheNextPacket) {
+  // The merge pass skips the packets whose last check failed (a prefix
+  // right behind the head) unless a new entry overlaps them. When one of
+  // them merges, the packets behind it move up, and the first packet that
+  // was never checked must still be checked.
+  CoalescerConfig cfg = full_cfg();
+  cfg.enable_dmc = false;
+  cfg.num_mshrs = 3;
+  Harness h(cfg, /*mem_latency=*/300);
+  h.submit(0x10000, ReqType::kLoad, 1);
+  h.submit(0x20000, ReqType::kLoad, 2);
+  h.submit(0x30000, ReqType::kLoad, 3);  // the file is full
+  h.submit(0x40000, ReqType::kLoad, 4);  // blocked CRQ head
+  h.submit(0x50000, ReqType::kLoad, 5);  // fails its merge check
+  h.submit(0x40000, ReqType::kLoad, 6);  // fails its merge check
+  h.submit(0x20000, ReqType::kLoad, 7);  // waits in the overflow buffer
+  h.kernel.run();
+  // The first fill lets 0x40000 allocate; 0x50000 becomes the blocked head.
+  // The second 0x40000 merges into the new entry, and 0x20000, which just
+  // came in from the overflow buffer, merges into the in-flight 0x20000.
+  EXPECT_EQ(h.coalescer.stats().crq_merges, 2u);
+  EXPECT_EQ(h.issued.size(), 5u);
+  EXPECT_EQ(h.completions.size(), 7u);
+  EXPECT_TRUE(h.coalescer.idle());
+}
+
+TEST(Coalescer, BlockedHeadIsRetriedAfterAMergeFillsItsEntry) {
+  // The CRQ skips a rejected head's retry only while the MSHR file is
+  // unchanged. A merge alone can turn the reject into an accept: once the
+  // entry covering one of the head's lines runs out of subentries, the
+  // head no longer splits and allocates as-is, with no fill in between.
+  CoalescerConfig cfg = full_cfg();
+  cfg.num_mshrs = 2;
+  cfg.max_subentries = 2;
+  Harness h(cfg, /*mem_latency=*/100000);
+  // Entry X holds line 0x1080 (one subentry).
+  h.submit(0x1080, ReqType::kLoad, 1);
+  h.kernel.run_until(1000);
+  ASSERT_EQ(h.issued.size(), 1u);
+  // A 256 B packet over 0x1000-0x10FF: 0x1080 would attach to X, and the
+  // rest (128 B at 0x1000, 64 B at 0x10C0) needs two entries with one free.
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    h.submit(0x1000 + i * 64, ReqType::kLoad, 10 + i);
+  }
+  h.kernel.run_until(2000);
+  ASSERT_EQ(h.issued.size(), 1u);
+  ASSERT_EQ(h.coalescer.mshrs().stats().rejects_full, 1u);
+  // A second load of 0x1080 merges into X from behind the head; X is full.
+  h.submit(0x1080, ReqType::kLoad, 20);
+  h.kernel.run_until(3000);
+  ASSERT_EQ(h.coalescer.stats().crq_merges, 1u);
+  ASSERT_EQ(h.issued.size(), 1u);
+  // An unrelated batch drains the CRQ with no fill: the head now allocates
+  // as-is, and the new packet waits behind it.
+  h.submit(0x9000, ReqType::kLoad, 30);
+  h.kernel.run_until(4000);
+  ASSERT_EQ(h.issued.size(), 2u);
+  EXPECT_EQ(h.issued[1].addr, 0x1000u);
+  EXPECT_EQ(h.issued[1].bytes, 256u);
+  h.kernel.run();
+  EXPECT_EQ(h.completions.size(), 7u);
+  EXPECT_TRUE(h.coalescer.idle());
+}
+
 TEST(Coalescer, FenceDrainsBeforeLaterRequests) {
   Harness h(full_cfg());
   for (std::uint64_t i = 0; i < 4; ++i) {

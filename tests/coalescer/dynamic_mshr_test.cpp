@@ -60,6 +60,7 @@ TEST(DynMshr, Figure6CaseA_SubsetMergesAsSubentries) {
   DynamicMshrFile mshr(cfg4());
   const auto big = mshr.try_insert(packet(0xA8 * 64, 256, ReqType::kLoad, 1));
   ASSERT_EQ(big.to_issue.size(), 1u);
+  const ReqId big_id = big.to_issue[0].id;
 
   const auto sub = mshr.try_insert(packet(0xA8 * 64, 128, ReqType::kLoad, 10));
   ASSERT_TRUE(sub.accepted);
@@ -67,7 +68,7 @@ TEST(DynMshr, Figure6CaseA_SubsetMergesAsSubentries) {
   EXPECT_EQ(mshr.in_use(), 1u);
   EXPECT_EQ(mshr.stats().full_merges, 1u);
 
-  const auto fill = mshr.on_fill(big.to_issue[0].id);
+  const auto fill = mshr.on_fill(big_id);
   ASSERT_TRUE(fill.has_value());
   // 4 original + 2 merged subentries, line IDs 00 and 01 for the merge.
   EXPECT_EQ(fill->targets.size(), 6u);
@@ -83,24 +84,28 @@ TEST(DynMshr, Figure6CaseA_SubsetMergesAsSubentries) {
 
 TEST(DynMshr, Figure6CaseB_PartialOverlapSplits) {
   // MSHR 1 holds one 64 B line; request 2 spans that line plus the next.
+  // to_issue views a buffer the next try_insert() reuses, so each entry's
+  // id is copied before that call.
   DynamicMshrFile mshr(cfg4());
   const auto one = mshr.try_insert(packet(0xA8 * 64, 64, ReqType::kLoad, 1));
   ASSERT_EQ(one.to_issue.size(), 1u);
+  const ReqId one_id = one.to_issue[0].id;
 
   const auto two = mshr.try_insert(packet(0xA8 * 64, 128, ReqType::kLoad, 20));
   ASSERT_TRUE(two.accepted);
   ASSERT_EQ(two.to_issue.size(), 1u);  // only the non-overlapped remainder
   EXPECT_EQ(two.to_issue[0].addr, 0xA9u * 64);
   EXPECT_EQ(two.to_issue[0].bytes, 64u);
+  const ReqId two_id = two.to_issue[0].id;
   EXPECT_EQ(mshr.in_use(), 2u);
   EXPECT_EQ(mshr.stats().partial_merges, 1u);
 
   // The overlapped line (token 20) rides on entry 1.
-  const auto fill1 = mshr.on_fill(one.to_issue[0].id);
+  const auto fill1 = mshr.on_fill(one_id);
   ASSERT_TRUE(fill1.has_value());
   EXPECT_EQ(fill1->targets.size(), 2u);
   // The remainder (token 21) completes with entry 2.
-  const auto fill2 = mshr.on_fill(two.to_issue[0].id);
+  const auto fill2 = mshr.on_fill(two_id);
   ASSERT_TRUE(fill2.has_value());
   ASSERT_EQ(fill2->targets.size(), 1u);
   EXPECT_EQ(fill2->targets[0].token, 21u);
