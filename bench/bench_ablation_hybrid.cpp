@@ -13,12 +13,12 @@
 //
 // Sweep: {stream, sg} x scheme {cache, migrate, static} x {conventional,
 // full}. Point-level results land in BENCH_hybrid.json beside the CSV
-// (written only when a CSV path is configured, so in-daemon runs stay
+// (written only when a CSV path is configured, so nocsv=1 runs stay
 // file-free).
 //
 // Not part of the default `bench_suite` selection: the default suite's
 // stdout+CSV bundle is pinned by the byte-identity golden, which predates
-// this bench. Run it via only=ablation_hybrid or a daemon job.
+// this bench. Run it via only=ablation_hybrid.
 #include <cstdio>
 #include <string>
 

@@ -36,8 +36,8 @@ SuiteBench make_ablation_pipeline() {
     return run_point_tasks(std::move(points));
   };
   // The hardware cost sheet precedes the measured impact table on stdout —
-  // as a preamble, not a printf inside format(): the daemon captures it into
-  // the job payload, so service jobs keep the sheet too.
+  // as a preamble, not a printf inside format(), which runs before the
+  // suite prints the bench's header.
   b.preamble = [](const BenchEnv&, std::vector<std::any>&) {
     Table costs({"design", "stages", "buffers", "comparators",
                  "initiation (cycles)", "latency (cycles)"});

@@ -11,8 +11,7 @@
 // x {conventional MSHR, full coalescer}, all under open-page row buffers.
 // Besides the table/CSV every bench emits, the point-level results land in
 // BENCH_scheduler.json beside the CSV (written only when a CSV path is
-// configured, so in-daemon runs — which capture stdout, not files — stay
-// file-free).
+// configured, so nocsv=1 runs stay file-free).
 #include <cstdio>
 #include <string>
 

@@ -12,8 +12,7 @@
 // Sweep: {warp_gups, warp_saxpy, warp_chase} x warp_width {8, 32}
 // x window {8, 32} x {conventional MSHR, full coalescer}. Point-level
 // results land in BENCH_warp.json beside the CSV (written only when a CSV
-// path is configured, so in-daemon runs — which capture stdout, not files —
-// stay file-free).
+// path is configured, so nocsv=1 runs stay file-free).
 #include <cstdio>
 #include <string>
 

@@ -17,7 +17,7 @@ SuiteBench make_fig01() {
   b.meta.paper_note = "paper endpoints: 33.33% @16B -> 88.89% @256B";
   // Pure packet arithmetic, but still expressed as one task so every
   // registered bench goes through the same task->format pipeline (the suite
-  // scheduler and the service daemon never special-case empty task lists).
+  // scheduler never special-cases empty task lists).
   b.tasks = [](const BenchEnv&) {
     std::vector<SuiteTask> tasks;
     tasks.push_back([] {

@@ -46,8 +46,8 @@ struct BenchEnv {
 
 /// The harness knob table: desc::Knob<BenchEnv> entries for the keys
 /// BenchEnv itself consumes, mirroring the platform table in
-/// system/config_bridge.cpp. The suite daemon serves this metadata and
-/// make_env() parses from it, so the two can't drift. default_value holds
+/// system/config_bridge.cpp. make_env() parses from it and the typo
+/// warnings read its key column, so the two can't drift. default_value holds
 /// the common default; accesses and csv have per-bench defaults that
 /// make_env() applies before the overlay.
 inline const std::vector<desc::Knob<BenchEnv>>& bench_knobs() {
@@ -70,7 +70,7 @@ inline const std::vector<desc::Knob<BenchEnv>>& bench_knobs() {
     t[2].meta.default_value = "<bench>.csv";
     // The warp front-end's canonical table (workloads/warp.hpp), re-targeted
     // at BenchEnv so warps=/warp_width=/lanes=/max_outstanding_warps= flow
-    // through the same metadata, typo-warning and daemon paths as the rest.
+    // through the same metadata and typo-warning paths as the rest.
     for (const desc::Knob<workloads::WarpParams>& wk :
          workloads::warp_knobs()) {
       desc::Knob<BenchEnv> k;
@@ -84,13 +84,6 @@ inline const std::vector<desc::Knob<BenchEnv>>& bench_knobs() {
     return t;
   }();
   return table;
-}
-
-/// Metadata column of bench_knobs() (merged into GET /benches).
-inline const std::vector<desc::KnobMeta>& bench_knob_metadata() {
-  static const std::vector<desc::KnobMeta> meta =
-      desc::knob_metadata(bench_knobs());
-  return meta;
 }
 
 /// Keys consumed by BenchEnv itself (on top of the platform keys).
@@ -130,8 +123,7 @@ inline void warn_unrecognized(const Config& cli,
 }
 
 /// Build a BenchEnv from an already-parsed Config. The CSV path defaults to
-/// "<bench_name>.csv"; bench_suite and the daemon share this so a bench
-/// produces byte-identical output either way.
+/// "<bench_name>.csv".
 inline BenchEnv make_env(const Config& cli, const char* bench_name,
                          std::uint64_t default_accesses = 15000) {
   BenchEnv env;

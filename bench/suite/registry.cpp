@@ -46,17 +46,11 @@ std::vector<SuiteTask> run_point_tasks(std::vector<Point> points) {
   return tasks;
 }
 
-std::vector<std::future<std::any>> submit_tasks(
-    ThreadPool& pool, std::vector<SuiteTask> tasks,
-    const std::function<void()>& before_each) {
+std::vector<std::future<std::any>> submit_tasks(ThreadPool& pool,
+                                                std::vector<SuiteTask> tasks) {
   std::vector<std::future<std::any>> futures;
   futures.reserve(tasks.size());
-  for (SuiteTask& t : tasks) {
-    futures.push_back(pool.submit([t = std::move(t), before_each] {
-      if (before_each) before_each();
-      return t();
-    }));
-  }
+  for (SuiteTask& t : tasks) futures.push_back(pool.submit(std::move(t)));
   return futures;
 }
 

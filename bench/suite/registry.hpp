@@ -2,12 +2,10 @@
 // computes (a list of independent tasks plus a row formatter), and
 // bench_suite decides HOW to schedule it.
 //
-// One command runs the benches: run_suite() (the bench_suite binary) submits
-// the selected benches' tasks — all of them, or `only=<name>,...` — to ONE
-// persistent thread pool and collects each bench's results in input order
-// as its futures resolve. The bench-service daemon runs one bench per job
-// through service_adapter.hpp. Both drivers fan tasks out through
-// submit_tasks()/collect_tasks() and print through render_bench().
+// run_suite() (the bench_suite binary) submits the selected benches' tasks —
+// all of them, or `only=<name>,...` — to ONE persistent thread pool through
+// submit_tasks() and collects each bench's results in input order through
+// collect_tasks() as its futures resolve.
 //
 // Because a bench's tasks are pure functions of its BenchEnv and results are
 // always collected per bench in input order, the table/CSV output of a bench
@@ -35,32 +33,31 @@ using SuiteTask = std::function<std::any()>;
 
 struct SuiteBench {
   /// Descriptive metadata (registry key, table heading, paper reference,
-  /// accesses= default) on the shared descriptor schema: `GET /benches` and
-  /// bench_suite both read this ONE record.
+  /// accesses= default) on the shared descriptor schema.
   /// meta.name doubles as the CSV stem and suite filter key, e.g. "fig08".
   desc::BenchMeta meta{
       .name = {}, .title = {}, .paper_note = {}, .default_accesses = 15000};
-  /// False = registered (so --list, only= and the daemon all reach it) but
-  /// excluded from bench_suite's run-everything default selection — for
-  /// benches added after the suite's stdout+CSV bundle was pinned by the
-  /// byte-identity golden.
+  /// False = registered (so --list and only= reach it) but excluded from
+  /// bench_suite's run-everything default selection — for benches added
+  /// after the suite's stdout+CSV bundle was pinned by the byte-identity
+  /// golden.
   bool in_default_suite = true;
   /// Build this bench's tasks for @p env. May be empty (pure-arithmetic
   /// figures compute everything in format()).
   std::function<std::vector<SuiteTask>(const BenchEnv&)> tasks;
   /// Assemble the figure table from the ordered task results (results[i] is
-  /// tasks[i]'s return value). Must NOT print: anything written to stdout
-  /// here would bypass the job payload when the bench runs inside the
-  /// daemon — extra text belongs in preamble/epilogue.
+  /// tasks[i]'s return value). Must NOT print: run_suite() prints the
+  /// preamble and header only after format() returns, so text printed here
+  /// would land out of order — extra text belongs in preamble/epilogue.
   std::function<Table(const BenchEnv&, std::vector<std::any>&)> format;
   /// Optional extra output BEFORE the "=== title ===" header (e.g. the
   /// pipeline ablation's hardware cost sheet). Returned, not printed, for
-  /// the same reason as epilogue.
+  /// the same reason as format().
   std::function<std::string(const BenchEnv&, std::vector<std::any>&)>
       preamble;
-  /// Optional extra output after the table (e.g. fig10's 16B-load share
-  /// line). Returns the text rather than printing it so non-stdout drivers
-  /// (the bench-service daemon) can capture it into the job payload.
+  /// Optional extra output after the table, its CSV note and the blank
+  /// separator line (e.g. fig10's 16B-load share line). Returned, not
+  /// printed, for the same reason as format().
   std::function<std::string(const BenchEnv&, std::vector<std::any>&)>
       epilogue;
 };
@@ -82,13 +79,10 @@ struct Point {
 /// benches share.
 std::vector<SuiteTask> run_point_tasks(std::vector<Point> points);
 
-/// Submit @p tasks to @p pool in order. A non-empty @p before_each runs on
-/// the worker just before each task; if it throws, that task does not run
-/// and its future carries the exception (the daemon passes the job's
-/// timeout/cancel checkpoint here).
-std::vector<std::future<std::any>> submit_tasks(
-    ThreadPool& pool, std::vector<SuiteTask> tasks,
-    const std::function<void()>& before_each = {});
+/// Submit @p tasks to @p pool in order; each future carries its task's
+/// result or exception.
+std::vector<std::future<std::any>> submit_tasks(ThreadPool& pool,
+                                                std::vector<SuiteTask> tasks);
 
 /// Wait for every future, then return the results in input order, or
 /// rethrow the lowest-index task's exception once every task has finished.
@@ -101,14 +95,6 @@ template <typename T>
 const T& result_as(const std::any& result) {
   return std::any_cast<const T&>(result);
 }
-
-/// The text one bench run prints: preamble, "=== title ===" header, paper
-/// note, @p table, then @p after_table, then epilogue. bench_suite passes
-/// its CSV note and blank separator line as @p after_table; the daemon's
-/// job payload passes "".
-std::string render_bench(const SuiteBench& bench, const BenchEnv& env,
-                         const Table& table, std::vector<std::any>& results,
-                         const std::string& after_table);
 
 /// Write @p body to @p file_name in the directory of env.csv_path, through
 /// a temp file and rename so a crash never leaves a torn file. Benches call

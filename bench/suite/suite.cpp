@@ -21,8 +21,13 @@
 //   csvdir=DIR      write CSVs and BENCH_*.json files into DIR instead of
 //                   the working directory
 //   nocsv=1         disable CSV output entirely
-//   threads=N       pool size (0 = hardware_concurrency), plus every
-//                   bench/platform knob from bench_util.hpp
+//   threads=N       pool size, 0..256 (kMaxThreads; 0 = hardware
+//                   concurrency), plus every bench/platform knob from
+//                   bench_util.hpp
+//
+// A malformed or out-of-range platform knob, threads= or nocsv= value
+// prints one "error: key: problem" line per problem and exits 2 before any
+// thread starts.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +44,9 @@ namespace hmcc::bench {
 namespace {
 
 constexpr std::uint64_t kSmokeAccesses = 500;
+/// Upper bound on threads=: far above any core count this runs on, yet a
+/// typo cannot ask the OS for millions of threads.
+constexpr std::uint64_t kMaxThreads = 256;
 
 /// Atomic snapshot write (temp file + rename), same publication discipline
 /// as obs::TraceWriter: a crash mid-write never leaves a torn file behind.
@@ -69,17 +77,6 @@ std::vector<std::string> split_csv_list(const std::string& s) {
 }
 
 }  // namespace
-
-std::string render_bench(const SuiteBench& bench, const BenchEnv& env,
-                         const Table& table, std::vector<std::any>& results,
-                         const std::string& after_table) {
-  std::string out;
-  if (bench.preamble) out = bench.preamble(env, results);
-  out += "=== " + bench.meta.title + " ===\n" + bench.meta.paper_note + "\n" +
-         table.to_ascii() + after_table;
-  if (bench.epilogue) out += bench.epilogue(env, results);
-  return out;
-}
 
 void write_beside_csv(const BenchEnv& env, const std::string& file_name,
                       const std::string& body) {
@@ -124,18 +121,24 @@ int run_suite(int argc, char** argv) {
   cli.parse_args(static_cast<int>(kv_args.size()), kv_args.data(), &rejected);
   warn_unrecognized(cli, rejected, {"only", "csvdir", "nocsv", "threads"});
 
-  // Platform knobs are shared by every bench of the run: validate them once
-  // up front (one line per problem) instead of throwing from a worker mid
-  // suite.
+  // Platform knobs are shared by every bench of the run, and threads= and
+  // nocsv= shape the run itself: validate them all once up front (one line
+  // per problem) instead of throwing from a worker mid suite.
+  std::vector<std::string> errors;
   {
     system::SystemConfig probe = system::paper_system_config();
-    std::vector<std::string> errors;
-    if (!system::overlay_config(cli, probe, errors)) {
-      for (const std::string& e : errors) {
-        std::fprintf(stderr, "error: %s\n", e.c_str());
-      }
-      return 2;
+    system::overlay_config(cli, probe, errors);
+  }
+  const desc::ParsedUInt threads =
+      desc::parse_uint(cli.get_string("threads", "0"), 0, kMaxThreads);
+  if (!threads.ok) errors.push_back("threads: " + threads.error);
+  const desc::ParsedBool nocsv = desc::parse_bool(cli.get_string("nocsv", "0"));
+  if (!nocsv.ok) errors.push_back("nocsv: " + nocsv.error);
+  if (!errors.empty()) {
+    for (const std::string& e : errors) {
+      std::fprintf(stderr, "error: %s\n", e.c_str());
     }
+    return 2;
   }
 
   // Select benches.
@@ -158,7 +161,6 @@ int run_suite(int argc, char** argv) {
     }
   }
 
-  const bool nocsv = cli.get_bool("nocsv", false);
   const std::string csvdir = cli.get_string("csvdir", "");
 
   // Submit the whole suite to one pool before collecting anything: there is
@@ -169,9 +171,7 @@ int run_suite(int argc, char** argv) {
     BenchEnv env;
     std::vector<std::future<std::any>> futures;
   };
-  const auto threads =
-      static_cast<unsigned>(cli.get_uint("threads", 0));
-  ThreadPool pool(threads);
+  ThreadPool pool(static_cast<unsigned>(threads.value));
   std::vector<Scheduled> scheduled;
   scheduled.reserve(selected.size());
   std::size_t total_tasks = 0;
@@ -180,7 +180,7 @@ int run_suite(int argc, char** argv) {
                 make_env(cli, b->meta.name.c_str(),
                          smoke ? kSmokeAccesses : b->meta.default_accesses),
                 {}};
-    if (nocsv) {
+    if (nocsv.value) {
       s.env.csv_path.clear();
     } else if (!csvdir.empty() && !cli.has("csv")) {
       s.env.csv_path = csvdir + "/" + b->meta.name + ".csv";
@@ -211,10 +211,13 @@ int run_suite(int argc, char** argv) {
       if (!s.env.csv_path.empty() && table.write_csv(s.env.csv_path)) {
         csv_note = "(rows written to " + s.env.csv_path + ")\n";
       }
-      std::fputs(
-          render_bench(*s.bench, s.env, table, results, csv_note + "\n")
-              .c_str(),
-          stdout);
+      std::string out;
+      if (s.bench->preamble) out = s.bench->preamble(s.env, results);
+      out += "=== " + s.bench->meta.title + " ===\n" +
+             s.bench->meta.paper_note + "\n" + table.to_ascii() + csv_note +
+             "\n";
+      if (s.bench->epilogue) out += s.bench->epilogue(s.env, results);
+      std::fputs(out.c_str(), stdout);
       if (!metrics_path.empty()) {
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - suite_start;

@@ -2,7 +2,7 @@
 # Record the built-in workload generators into a replayable .hmct corpus.
 #
 # Layout (relative paths inside MANIFEST, so the tree can be moved or
-# shipped to a daemon host wholesale):
+# shipped to another host wholesale):
 #
 #   traces/
 #     cpu/<workload>.hmct    the paper's 12 CPU workloads
@@ -11,10 +11,10 @@
 #
 # Each file replays byte-identically through any entry point that accepts
 # the trace_replay= knob: the workbench (`trace_workbench cmd=run
-# trace_replay=traces/cpu/stream.hmct`) or a daemon job
-# (`POST /jobs {"bench": ..., "config": {"trace_replay": ".../stream.hmct"}}`),
-# so one recorded corpus pins the memory stream across every backend and
-# scheduler configuration under test.
+# trace_replay=traces/cpu/stream.hmct`) or a bench (`bench_suite only=fig09
+# trace_replay=traces/cpu/stream.hmct`), so one recorded corpus pins the
+# memory stream across every backend and scheduler configuration under
+# test.
 #
 # Usage: build_corpus.sh <path-to-trace_workbench> [out-dir] [accesses] [cores]
 #   out-dir   defaults to ./traces

@@ -117,20 +117,6 @@ std::size_t StatSet::sample(obs::MetricsRegistry& reg) const {
   return sampled;
 }
 
-const char* to_string(KnobKind k) noexcept {
-  switch (k) {
-    case KnobKind::kUInt:
-      return "uint";
-    case KnobKind::kBool:
-      return "bool";
-    case KnobKind::kEnum:
-      return "enum";
-    case KnobKind::kString:
-      return "string";
-  }
-  return "unknown";
-}
-
 ParsedUInt parse_uint(const std::string& raw, std::uint64_t min,
                       std::uint64_t max) {
   ParsedUInt out;

@@ -15,9 +15,9 @@
 //  * Knob<Target> / KnobMeta — a config knob declares its key, type,
 //    default, bounds, help, and how to apply/read a CLI string.
 //    system::overlay_config() parses generically from the table (with
-//    per-knob validation errors), the bench-service daemon serves the SAME
-//    table as machine-readable metadata, and round-trip tests walk it. The
-//    parser and the metadata can never drift: there is only one table.
+//    per-knob validation errors), the typo warnings read its key column,
+//    and round-trip tests walk it. The parser and the metadata can never
+//    drift: there is only one table.
 #pragma once
 
 #include <cstdint>
@@ -107,11 +107,8 @@ class StatSet {
 
 enum class KnobKind : std::uint8_t { kUInt, kBool, kEnum, kString };
 
-[[nodiscard]] const char* to_string(KnobKind k) noexcept;
-
-/// Target-independent knob metadata: everything a client needs to build a
-/// valid assignment without reading header comments. Served verbatim by the
-/// bench-service daemon's GET /benches.
+/// Target-independent knob metadata: everything needed to build a valid
+/// assignment without reading header comments (kind, bounds, choices).
 struct KnobMeta {
   std::string key;    ///< the key= spelling, e.g. "vaults"
   std::string scope;  ///< "bench" (harness) or "platform" (SystemConfig)
@@ -248,15 +245,6 @@ Knob<Target> enum_knob(std::string key, std::string scope, std::string help,
   return k;
 }
 
-/// Project a knob table to its metadata column (what the daemon serves).
-template <typename Target>
-std::vector<KnobMeta> knob_metadata(const std::vector<Knob<Target>>& knobs) {
-  std::vector<KnobMeta> out;
-  out.reserve(knobs.size());
-  for (const Knob<Target>& k : knobs) out.push_back(k.meta);
-  return out;
-}
-
 /// Project a knob table to its key column (for typo warnings).
 template <typename Target>
 std::vector<std::string> knob_keys(const std::vector<Knob<Target>>& knobs) {
@@ -300,8 +288,8 @@ bool check_constraints(const std::vector<Constraint<Target>>& constraints,
 // ---------------------------------------------------------------------------
 
 /// Descriptive metadata for one registered benchmark — the same record backs
-/// `bench_suite --list`, the heading `bench_suite only=<name>` prints, and
-/// the daemon's GET /benches, so the three can never drift.
+/// `bench_suite --list` and the heading `bench_suite only=<name>` prints, so
+/// the two can never drift.
 struct BenchMeta {
   std::string name;        ///< registry key, e.g. "fig08"
   std::string title;       ///< one-line human description

@@ -2,8 +2,7 @@
 
 namespace hmcc {
 
-ThreadPool::ThreadPool(unsigned threads, std::size_t max_queued)
-    : max_queued_(max_queued) {
+ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;  // hardware_concurrency may report 0
   workers_.reserve(threads);
@@ -34,41 +33,12 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::queued() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-std::size_t ThreadPool::active() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return active_;
-}
-
 void ThreadPool::enqueue(Job job) {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (max_queued_ > 0) {
-      space_available_.wait(
-          lock, [this] { return queue_.size() < max_queued_ || stopping_; });
-    }
-    queue_.push_back(std::move(job));
-  }
-  work_available_.notify_one();
-}
-
-bool ThreadPool::try_enqueue(Job job) {
-  {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (max_queued_ > 0 && queue_.size() >= max_queued_) return false;
     queue_.push_back(std::move(job));
   }
   work_available_.notify_one();
-  return true;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -80,13 +50,9 @@ void ThreadPool::worker_loop() {
     if (queue_.empty()) return;
     Job job = std::move(queue_.front());
     queue_.pop_front();
-    ++active_;
     lock.unlock();
-    space_available_.notify_one();
     job();  // packaged_task: exceptions land in the caller's future
     lock.lock();
-    --active_;
-    if (queue_.empty() && active_ == 0) idle_.notify_all();
   }
 }
 

@@ -3,7 +3,7 @@
 //
 // Design constraints, in priority order:
 //  * dependency-free — standard library only, so every layer (coalescer,
-//    HMC, cache, service) can link it without pulling anything else in;
+//    HMC, cache, system) can link it without pulling anything else in;
 //  * lock-free fast path — increments/observations are relaxed atomics;
 //    the registry mutex is taken only to REGISTER a metric or materialize
 //    a labeled child, and callers are expected to cache the returned
@@ -15,8 +15,8 @@
 // Two registries exist in practice and never mix:
 //  * a per-System registry (simulation counters: coalescing rate, packet
 //    mix, bank traffic) that benches snapshot after a run;
-//  * a process-wide registry in the bench-service daemon (job lifecycle,
-//    pool occupancy, HTTP traffic) served at GET /metrics.
+//  * bench_suite's registry (per-bench wall time and task counts), which
+//    `bench_suite --metrics PATH` writes once the suite ends.
 #pragma once
 
 #include <atomic>

@@ -470,12 +470,6 @@ const std::vector<desc::Constraint<SystemConfig>>& platform_constraints() {
   return table;
 }
 
-const std::vector<desc::KnobMeta>& platform_knob_metadata() {
-  static const std::vector<desc::KnobMeta> meta =
-      desc::knob_metadata(platform_knobs());
-  return meta;
-}
-
 bool overlay_config(const Config& cli, SystemConfig& cfg,
                     std::vector<std::string>& errors) {
   const std::size_t before = errors.size();

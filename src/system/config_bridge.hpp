@@ -12,8 +12,8 @@
 //
 // The knobs are DECLARED once, in the platform_knobs() table
 // (desc::Knob<SystemConfig>): overlay_config() parses from the table, the
-// bench-service daemon serves platform_knob_metadata() from the same table,
-// and the round-trip tests walk it. Adding a knob is one table entry.
+// typo warnings read its key column, and the round-trip tests walk it.
+// Adding a knob is one table entry.
 // Invariants spanning several knobs live in the platform_constraints()
 // table (desc::Constraint<SystemConfig>), checked after the overlay.
 #pragma once
@@ -28,9 +28,6 @@ namespace hmcc::system {
 /// documentation order. Each entry carries metadata (key, kind, bounds,
 /// default, help) plus apply/read functions bound to SystemConfig.
 [[nodiscard]] const std::vector<desc::Knob<SystemConfig>>& platform_knobs();
-
-/// Metadata column of platform_knobs() (what GET /benches serves).
-[[nodiscard]] const std::vector<desc::KnobMeta>& platform_knob_metadata();
 
 /// Cross-knob structural invariants (geometry validity, window vs CRQ
 /// capacity), applied by overlay_config() after

@@ -1,8 +1,8 @@
 // Versioned binary trace codec: the `.hmct` interchange format.
 //
 // Traces captured from any generator (CPU or warp front-end) are stored
-// once and replayed byte-identically — locally via `trace_replay=PATH` or
-// shipped to the daemon as a job payload. The format is built for corpus
+// once and replayed byte-identically via `trace_replay=PATH`, by the
+// workbench and by bench_suite alike. The format is built for corpus
 // storage: varint delta-encoded addresses and run-length-grouped records
 // compress the regular streams our generators emit by ~5-10x versus a flat
 // 16-byte-per-record layout, while staying trivially seekable per stream.

@@ -48,7 +48,7 @@ struct WarpRun {
 
 /// Declarative knob table for WarpParams: warps= warp_width= lanes=
 /// max_outstanding_warps= (bench scope). bench_knobs() wraps these onto
-/// BenchEnv so the suite, daemon metadata and typo warnings pick them up
+/// BenchEnv so the suite's parser and typo warnings pick them up
 /// automatically; the workbench applies them via warp_params_from_cli().
 [[nodiscard]] const std::vector<desc::Knob<WarpParams>>& warp_knobs();
 

@@ -20,7 +20,7 @@ namespace hmcc::workloads {
 
 /// SIMT front-end shape consulted by the warp_* workloads (warp.hpp). The
 /// CPU generators ignore these. Kept inside WorkloadParams so every driver
-/// (benches, workbench, daemon jobs) threads them through one struct.
+/// (benches, workbench, examples) threads them through one struct.
 struct WarpParams {
   std::uint32_t warps = 8;        ///< resident warps per core (per "SM")
   std::uint32_t warp_width = 32;  ///< threads per warp (vector length)

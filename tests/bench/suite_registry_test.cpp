@@ -1,6 +1,6 @@
-// Suite registry invariants: bench_suite (run_suite) and the bench-service
-// daemon consume the same registry, so its entries must be complete and the
-// two must agree byte-for-byte on output.
+// Suite registry invariants: every entry bench_suite (run_suite) reaches is
+// complete, the one fan-out keeps input order, and the command's output does
+// not depend on threads=.
 #include "suite/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -17,9 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "suite/service_adapter.hpp"
 #include "system/config_bridge.hpp"
-#include "system/job_manager.hpp"
 #include "trace/codec.hpp"
 
 namespace hmcc::bench {
@@ -49,43 +47,46 @@ TEST(SuiteRegistry, EveryBenchIsFullyPopulated) {
     EXPECT_GT(b.meta.default_accesses, 0u);
     ASSERT_TRUE(static_cast<bool>(b.format));
     ASSERT_TRUE(static_cast<bool>(b.tasks));
-    // A non-empty task list is what lets the suite scheduler and the
-    // service's cooperative timeout see the bench's work at all.
+    // A non-empty task list is what lets the suite scheduler spread the
+    // bench's work over the pool at all.
     const BenchEnv env = make_env(cli, b.meta.name.c_str(), b.meta.default_accesses);
     EXPECT_FALSE(b.tasks(env).empty());
   }
 }
 
 TEST(SuiteRegistry, KnobMetadataCoversEveryAcceptedKey) {
-  const service::json::Value knobs = knob_metadata_json();
-  ASSERT_TRUE(knobs.is_array());
+  // Every key the two parsers accept (make_env() and overlay_config() parse
+  // from these tables) carries what a valid assignment needs: a kind with
+  // consistent bounds or choices, a scope and a help line.
   std::set<std::string> seen;
-  const std::set<std::string> kinds = {"uint", "bool", "enum", "string"};
-  for (const service::json::Value& k : knobs.as_array()) {
-    const std::string& name = k.find("name")->as_string();
-    const std::string& kind = k.find("kind")->as_string();
-    const std::string& scope = k.find("scope")->as_string();
-    SCOPED_TRACE(name);
-    EXPECT_TRUE(seen.insert(name).second) << "duplicate knob";
-    EXPECT_TRUE(kinds.count(kind)) << "bad kind " << kind;
-    EXPECT_TRUE(scope == "bench" || scope == "platform") << scope;
-    EXPECT_FALSE(k.find("doc")->as_string().empty());
-  }
-  // Exactly the keys the parsers accept: the harness keys plus every
-  // platform key, nothing more, nothing missing.
-  for (const std::string& key : bench_cli_keys()) {
-    EXPECT_TRUE(seen.count(key)) << "harness knob missing: " << key;
-  }
-  for (const std::string& key : system::platform_cli_keys()) {
-    EXPECT_TRUE(seen.count(key)) << "platform knob missing: " << key;
-  }
-  EXPECT_EQ(knobs.as_array().size(),
-            bench_cli_keys().size() + system::platform_cli_keys().size());
-  // threads= sizes bench_suite's pool; a daemon job has no use for it.
-  EXPECT_FALSE(seen.count("threads"));
+  auto walk = [&seen](const auto& knobs) {
+    for (const auto& knob : knobs) {
+      const desc::KnobMeta& m = knob.meta;
+      SCOPED_TRACE(m.key);
+      EXPECT_TRUE(seen.insert(m.key).second) << "duplicate knob";
+      EXPECT_TRUE(m.scope == "bench" || m.scope == "platform") << m.scope;
+      EXPECT_FALSE(m.help.empty());
+      switch (m.kind) {
+        case desc::KnobKind::kUInt:
+          EXPECT_LE(m.min_value, m.max_value);
+          break;
+        case desc::KnobKind::kEnum:
+          EXPECT_FALSE(m.choices.empty());
+          break;
+        case desc::KnobKind::kBool:
+        case desc::KnobKind::kString:
+          EXPECT_TRUE(m.choices.empty());
+          break;
+        default:
+          ADD_FAILURE() << "bad kind " << static_cast<int>(m.kind);
+      }
+    }
+  };
+  walk(bench_knobs());
+  walk(system::platform_knobs());
 }
 
-// submit_tasks()/collect_tasks(): the one fan-out both drivers use.
+// submit_tasks()/collect_tasks(): the suite's one fan-out.
 
 std::vector<SuiteTask> index_tasks(std::size_t n,
                                    std::function<std::any(std::size_t)> fn) {
@@ -149,30 +150,6 @@ TEST(SuiteTasks, RethrowsLowestFailingIndexDeterministically) {
       EXPECT_STREQ(e.what(), "3") << "round " << round;
     }
   }
-}
-
-TEST(SuiteTasks, ThrowingBeforeEachSkipsItsTask) {
-  ThreadPool pool(2);
-  std::atomic<int> checks{0};
-  std::atomic<int> ran{0};
-  auto count_task = [&ran](std::size_t) {
-    ++ran;
-    return std::any(0);
-  };
-  // Without a throw, before_each runs once before every task.
-  EXPECT_EQ(collect_tasks(submit_tasks(pool, index_tasks(6, count_task),
-                                       [&checks] { ++checks; }))
-                .size(),
-            6u);
-  EXPECT_EQ(checks.load(), 6);
-  EXPECT_EQ(ran.load(), 6);
-  // A throwing before_each stops its task from running at all.
-  ran = 0;
-  EXPECT_THROW((void)collect_tasks(submit_tasks(
-                   pool, index_tasks(6, count_task),
-                   [] { throw std::runtime_error("stop"); })),
-               std::runtime_error);
-  EXPECT_EQ(ran.load(), 0);
 }
 
 // Run the bench_suite command in-process and hand back its stdout.
@@ -277,6 +254,18 @@ TEST(SuiteRegistry, Fig10BatchesByThePlatformWindow) {
   EXPECT_NE(by_default, by_eight);
 }
 
+TEST(SuiteRegistry, ServiceJobCapturesEpilogueInPayload) {
+  // fig10's epilogue follows its table, so the captured output of the run
+  // carries it.
+  const SuiteBench* bench = find_bench("fig10");
+  ASSERT_NE(bench, nullptr);
+  ASSERT_TRUE(static_cast<bool>(bench->epilogue));
+  std::string out;
+  ASSERT_EQ(run_suite_captured({"only=fig10", kSmokeAccesses, "nocsv=1"}, out),
+            0);
+  EXPECT_NE(out.find("16B-load share:"), std::string::npos);
+}
+
 TEST(SuiteRegistry, AblationJsonLandsBesideTheCsv) {
   const std::filesystem::path dir =
       std::filesystem::path(testing::TempDir()) / "hmcc_suite_csvdir";
@@ -297,81 +286,30 @@ TEST(SuiteRegistry, AblationJsonLandsBesideTheCsv) {
   std::filesystem::remove_all(dir);
 }
 
-// Run a bench through the service adapter on a real JobManager (the only
-// way to obtain a JobContext) and hand back the job's output.
-system::JobOutput run_via_service(const SuiteBench& bench,
-                                  const Config& overrides) {
-  system::JobManager mgr(
-      {/*sweep_threads=*/1, /*job_workers=*/1, /*max_queued_jobs=*/4,
-       /*default_timeout=*/std::chrono::milliseconds{0}});
-  auto id = mgr.submit(bench.meta.name, [&](const system::JobContext& ctx) {
-    return run_bench_job(bench, overrides, ctx);
-  });
-  EXPECT_TRUE(id.has_value());
-  mgr.drain();
-  auto snap = mgr.status(*id);
-  EXPECT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->state, system::JobState::kDone) << snap->error;
-  return snap->output;
-}
-
-TEST(SuiteRegistry, ServiceDriverMatchesStandaloneByteForByte) {
-  // With CSV output off, `bench_suite only=<name>` stdout differs from the
-  // in-memory payload only by the suite's trailing blank line. fig08 is a
-  // plain sweep bench; ablation_pipeline also prints a preamble before its
-  // header.
-  for (const auto& [name, has_preamble] :
-       {std::pair{"fig08", false}, std::pair{"ablation_pipeline", true}}) {
-    SCOPED_TRACE(name);
-    const SuiteBench* bench = find_bench(name);
-    ASSERT_NE(bench, nullptr);
-    ASSERT_EQ(static_cast<bool>(bench->preamble), has_preamble);
-    ASSERT_FALSE(static_cast<bool>(bench->epilogue));
-
-    std::string standalone;
-    ASSERT_EQ(run_suite_captured({std::string("only=") + name, kSmokeAccesses,
-                                  "seed=2", "nocsv=1", "threads=1"},
-                                 standalone),
-              0);
-
-    Config overrides;
-    overrides.set("accesses", "400");
-    overrides.set("seed", "2");
-    const system::JobOutput job = run_via_service(*bench, overrides);
-
-    EXPECT_EQ(job.text + "\n", standalone);
-    EXPECT_FALSE(job.csv.empty());
-    EXPECT_NE(job.csv.find('\n'), std::string::npos);
+TEST(SuiteRegistry, MalformedThreadsOrNocsvFailsBeforeAnyBenchRuns) {
+  // threads= and nocsv= parse strictly: a value that is not a number, does
+  // not fit the thread cap, or is not a boolean is a named error and exit
+  // code 2, not a silent fallback that still runs (and writes CSVs).
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "hmcc_suite_bad_keys";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const auto& [arg, key] : {std::pair{"threads=abc", "threads"},
+                                 std::pair{"threads=4294967297", "threads"},
+                                 std::pair{"nocsv=maybe", "nocsv"}}) {
+    SCOPED_TRACE(arg);
+    std::string out;
+    testing::internal::CaptureStderr();
+    const int rc = run_suite_captured(
+        {"only=fig01", arg, "csvdir=" + dir.string()}, out);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2);
+    EXPECT_NE(err.find(std::string("error: ") + key + ": "), std::string::npos)
+        << err;
+    EXPECT_TRUE(out.empty()) << out;
   }
-}
-
-TEST(SuiteRegistry, ServiceJobCapturesEpilogueInPayload) {
-  const SuiteBench* bench = find_bench("fig10");
-  ASSERT_NE(bench, nullptr);
-  ASSERT_TRUE(static_cast<bool>(bench->epilogue));
-  Config overrides;
-  overrides.set("accesses", "400");
-  const system::JobOutput job = run_via_service(*bench, overrides);
-  EXPECT_NE(job.text.find("16B-load share:"), std::string::npos);
-}
-
-TEST(SuiteRegistry, ServiceBenchesMirrorTheRegistry) {
-  const auto wrapped = service_benches();
-  const auto& benches = suite_benches();
-  ASSERT_EQ(wrapped.size(), benches.size());
-  for (std::size_t i = 0; i < wrapped.size(); ++i) {
-    SCOPED_TRACE(benches[i].meta.name);
-    EXPECT_EQ(wrapped[i].name, benches[i].meta.name);
-    ASSERT_TRUE(wrapped[i].metadata.is_object());
-    const auto* name = wrapped[i].metadata.find("name");
-    ASSERT_NE(name, nullptr);
-    EXPECT_EQ(name->as_string(), benches[i].meta.name);
-    const auto* accesses = wrapped[i].metadata.find("default_accesses");
-    ASSERT_NE(accesses, nullptr);
-    EXPECT_EQ(accesses->as_int(),
-              static_cast<std::int64_t>(benches[i].meta.default_accesses));
-    EXPECT_TRUE(static_cast<bool>(wrapped[i].run));
-  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

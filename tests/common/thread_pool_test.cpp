@@ -69,100 +69,6 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(ran.load(), 20);
 }
 
-TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
-  ThreadPool pool(1, /*max_queued=*/2);
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  // With a backlog bound of 2 this loop cannot race ahead of the worker by
-  // more than bound + in-flight; all tasks must still complete exactly once.
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
-    EXPECT_LE(pool.queued(), 2u);
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPool, TrySubmitRefusesInsteadOfBlockingWhenFull) {
-  ThreadPool pool(1, /*max_queued=*/1);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  // Occupy the single worker, then fill the one queue slot. Wait for the
-  // blocker to leave the queue — until then it holds the slot itself.
-  std::atomic<bool> started{false};
-  auto running = pool.submit([&started, gate] {
-    started = true;
-    gate.wait();
-  });
-  while (!started.load()) std::this_thread::yield();
-  auto queued = pool.try_submit([] { return 1; });
-  ASSERT_TRUE(queued.has_value());
-  // Queue is now at its bound: try_submit must refuse immediately where
-  // submit() would block the caller.
-  auto refused = pool.try_submit([] { return 2; });
-  EXPECT_FALSE(refused.has_value());
-  EXPECT_EQ(pool.queued(), 1u);
-
-  release.set_value();
-  running.get();
-  EXPECT_EQ(queued->get(), 1);
-  // With the backlog drained, admission works again.
-  auto accepted = pool.try_submit([] { return 3; });
-  ASSERT_TRUE(accepted.has_value());
-  EXPECT_EQ(accepted->get(), 3);
-}
-
-TEST(ThreadPool, TrySubmitNeverRefusesOnUnboundedPool) {
-  ThreadPool pool(1);  // max_queued = 0: unbounded
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    auto fut = pool.try_submit([i] { return i; });
-    ASSERT_TRUE(fut.has_value());
-    futures.push_back(std::move(*fut));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
-  }
-}
-
-TEST(ThreadPool, ActiveReportsExecutingTasks) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.active(), 0u);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::atomic<int> started{0};
-  auto a = pool.submit([&] {
-    ++started;
-    gate.wait();
-  });
-  auto b = pool.submit([&] {
-    ++started;
-    gate.wait();
-  });
-  while (started.load() < 2) std::this_thread::yield();
-  EXPECT_EQ(pool.active(), 2u);
-  release.set_value();
-  a.get();
-  b.get();
-  pool.wait_idle();
-  EXPECT_EQ(pool.active(), 0u);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilAllWorkFinishes) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([&ran] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ran.fetch_add(1);
-    }));
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_EQ(pool.queued(), 0u);
-}
-
 TEST(ThreadPool, ManyProducersOneConsumerPool) {
   ThreadPool pool(3);
   std::atomic<long> sum{0};

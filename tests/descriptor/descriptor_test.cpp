@@ -1,14 +1,12 @@
 // The declarative descriptor layer: strict scalar parsing, StatSet
 // publish/sample semantics, and the two knob tables (platform + bench) that
-// feed overlay_config(), make_env(), and the daemon's knob metadata.
+// feed overlay_config() and make_env().
 //
 // The load-bearing properties:
 //  * every knob's advertised default round-trips through its own
 //    apply()/read() pair (CLI -> config -> CLI is the identity on defaults);
 //  * out-of-bounds and malformed values are REJECTED with a message, never
-//    silently replaced by a fallback;
-//  * the suite's served knob metadata is exactly the two tables' metadata,
-//    so the parser and the advertisement cannot drift.
+//    silently replaced by a fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +16,6 @@
 #include "bench_util.hpp"
 #include "common/descriptor.hpp"
 #include "obs/metrics.hpp"
-#include "suite/service_adapter.hpp"
 #include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 
@@ -241,15 +238,16 @@ TEST(PlatformKnobs, ConfigFromCliThrowsWithEveryProblemListed) {
 }
 
 TEST(PlatformKnobs, MetadataMatchesKeysAndCarriesDefaults) {
-  const auto& meta = system::platform_knob_metadata();
+  const auto& knobs = system::platform_knobs();
   const auto& keys = system::platform_cli_keys();
-  ASSERT_EQ(meta.size(), keys.size());
-  for (std::size_t i = 0; i < meta.size(); ++i) {
-    EXPECT_EQ(meta[i].key, keys[i]);
-    EXPECT_EQ(meta[i].scope, "platform");
-    EXPECT_FALSE(meta[i].help.empty()) << meta[i].key;
-    if (meta[i].kind != desc::KnobKind::kString) {
-      EXPECT_FALSE(meta[i].default_value.empty()) << meta[i].key;
+  ASSERT_EQ(knobs.size(), keys.size());
+  for (std::size_t i = 0; i < knobs.size(); ++i) {
+    const desc::KnobMeta& meta = knobs[i].meta;
+    EXPECT_EQ(meta.key, keys[i]);
+    EXPECT_EQ(meta.scope, "platform");
+    EXPECT_FALSE(meta.help.empty()) << meta.key;
+    if (meta.kind != desc::KnobKind::kString) {
+      EXPECT_FALSE(meta.default_value.empty()) << meta.key;
     }
   }
 }
@@ -273,59 +271,45 @@ TEST(BenchKnobs, MakeEnvAppliesOverridesAndKeepsDefaultsOnErrors) {
   EXPECT_EQ(env.csv_path, "figXX.csv");
 }
 
-// --- Served knob metadata -------------------------------------------------
+// --- Knob metadata ---------------------------------------------------------
 
-// The daemon's GET /benches "knobs" array, one entry per knob.
-const service::json::Array& served_knobs() {
-  static const service::json::Value knobs = bench::knob_metadata_json();
-  return knobs.as_array();
-}
-
-std::string field(const service::json::Value& knob, const char* key) {
-  return knob.find(key)->as_string();
+// True when the bench or platform table declares @p key in @p scope.
+bool declares(const char* key, const char* scope) {
+  auto in = [&](const auto& knobs) {
+    return std::any_of(knobs.begin(), knobs.end(), [&](const auto& k) {
+      return k.meta.key == key && k.meta.scope == scope;
+    });
+  };
+  return in(bench::bench_knobs()) || in(system::platform_knobs());
 }
 
 TEST(KnobMetadataJson, IsGeneratedFromBothTables) {
-  const auto& info = served_knobs();
-  const auto& bench_meta = bench::bench_knob_metadata();
-  const auto& platform_meta = system::platform_knob_metadata();
-  ASSERT_EQ(info.size(), bench_meta.size() + platform_meta.size());
+  // The keys make_env() accepts are the bench table's key column, in table
+  // order, all in bench scope; the platform side is checked above against
+  // platform_cli_keys(). No key is declared by both tables.
+  const auto& bench_meta = bench::bench_knobs();
+  const auto& bench_keys = bench::bench_cli_keys();
+  ASSERT_EQ(bench_meta.size(), bench_keys.size());
   for (std::size_t i = 0; i < bench_meta.size(); ++i) {
-    EXPECT_EQ(field(info[i], "name"), bench_meta[i].key);
-    EXPECT_EQ(field(info[i], "kind"), desc::to_string(bench_meta[i].kind));
-    EXPECT_EQ(field(info[i], "doc"), bench_meta[i].help);
-  }
-  for (std::size_t i = 0; i < platform_meta.size(); ++i) {
-    const auto& got = info[bench_meta.size() + i];
-    EXPECT_EQ(field(got, "name"), platform_meta[i].key);
-    EXPECT_EQ(field(got, "kind"), desc::to_string(platform_meta[i].kind));
-    EXPECT_EQ(field(got, "scope"), "platform");
+    EXPECT_EQ(bench_meta[i].meta.key, bench_keys[i]);
+    EXPECT_EQ(bench_meta[i].meta.scope, "bench");
+    EXPECT_FALSE(declares(bench_keys[i].c_str(), "platform")) << bench_keys[i];
   }
 }
 
 TEST(KnobMetadataJson, AdvertisesWarpAndTraceIoKnobs) {
-  // Daemon jobs can shape the warp front-end and replay shipped .hmct
-  // corpora; the served metadata must advertise all six knobs.
-  const auto& info = served_knobs();
-  auto has = [&info](const char* name, const char* scope) {
-    return std::any_of(info.begin(), info.end(), [&](const auto& k) {
-      return field(k, "name") == name && field(k, "scope") == scope;
-    });
-  };
-  EXPECT_TRUE(has("warps", "bench"));
-  EXPECT_TRUE(has("warp_width", "bench"));
-  EXPECT_TRUE(has("lanes", "bench"));
-  EXPECT_TRUE(has("max_outstanding_warps", "bench"));
-  EXPECT_TRUE(has("trace_record", "platform"));
-  EXPECT_TRUE(has("trace_replay", "platform"));
+  // bench_suite can shape the warp front-end and replay shipped .hmct
+  // corpora; the knob tables must declare all six knobs.
+  EXPECT_TRUE(declares("warps", "bench"));
+  EXPECT_TRUE(declares("warp_width", "bench"));
+  EXPECT_TRUE(declares("lanes", "bench"));
+  EXPECT_TRUE(declares("max_outstanding_warps", "bench"));
+  EXPECT_TRUE(declares("trace_record", "platform"));
+  EXPECT_TRUE(declares("trace_replay", "platform"));
 }
 
 TEST(KnobMetadataJson, AdvertisesTheSampleIntervalKnob) {
-  const auto& info = served_knobs();
-  EXPECT_TRUE(std::any_of(info.begin(), info.end(), [](const auto& k) {
-    return field(k, "name") == "sample_interval" &&
-           field(k, "scope") == "platform";
-  }));
+  EXPECT_TRUE(declares("sample_interval", "platform"));
 }
 
 // --- Registry vs run report parity ----------------------------------------

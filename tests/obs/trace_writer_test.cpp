@@ -1,6 +1,6 @@
 // TraceWriter: chrome://tracing event shapes, the drop cap, atomic file
 // publication, and that the emitted document actually parses as JSON (via
-// the service layer's parser).
+// the test-side parser in tests/support/json.hpp).
 #include "obs/trace_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -10,12 +10,12 @@
 #include <sstream>
 #include <string>
 
-#include "service/json.hpp"
+#include "support/json.hpp"
 
 namespace hmcc::obs {
 namespace {
 
-using service::json::parse;
+using json::parse;
 
 TEST(JsonEscape, ControlCharactersAndQuotes) {
   EXPECT_EQ(json_escape("plain"), "plain");

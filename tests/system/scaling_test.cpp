@@ -3,9 +3,8 @@
 // future HMC generations." These tests exercise the coalescer with a
 // hypothetical 512 B-block HMC (3-bit size/line-ID equivalents) and other
 // off-default platform shapes. The full-system points run on a ThreadPool
-// — the pool the bench suite and the daemon fan tasks out over — so the
-// off-default shapes double as a concurrency test for parallel System
-// instances.
+// — the pool bench_suite fans tasks out over — so the off-default shapes
+// double as a concurrency test for parallel System instances.
 #include <gtest/gtest.h>
 
 #include <future>
