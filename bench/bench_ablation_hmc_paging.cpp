@@ -23,12 +23,12 @@ SuiteBench make_ablation_hmc_paging() {
     std::vector<Point> points;
     for (const std::string& name : names) {
       for (const bool closed : {true, false}) {
-        system::SystemConfig conv = env.base_config();
+        system::SystemConfig conv = env.platform;
         conv.hmc.closed_page = closed;
         system::apply_mode(conv, system::CoalescerMode::kConventional);
         points.push_back({name, conv, env.params});
 
-        system::SystemConfig full = env.base_config();
+        system::SystemConfig full = env.platform;
         full.hmc.closed_page = closed;
         system::apply_mode(full, system::CoalescerMode::kFull);
         points.push_back({name, full, env.params});

@@ -38,7 +38,7 @@ constexpr system::CoalescerMode kModes[] = {
 system::SystemConfig tiered_config(const BenchEnv& env,
                                    mem::HybridScheme scheme,
                                    system::CoalescerMode mode) {
-  system::SystemConfig cfg = env.base_config();
+  system::SystemConfig cfg = env.platform;
   cfg.mem.backend = mem::BackendKind::kHybrid;
   cfg.mem.scheme = scheme;
   cfg.mem.fast_pages = 512;  // 2 MiB of 4 KiB pages: a real capacity cliff

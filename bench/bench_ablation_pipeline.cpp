@@ -23,12 +23,12 @@ SuiteBench make_ablation_pipeline() {
     const std::vector<std::string> names = {"stream", "ft", "hpcg"};
     std::vector<Point> points;
     for (const std::string& name : names) {
-      system::SystemConfig a = env.base_config();
+      system::SystemConfig a = env.platform;
       a.coalescer.pipeline_shape = coalescer::PipelineShape::kPerStage;
       system::apply_mode(a, system::CoalescerMode::kFull);
       points.push_back({name, a, env.params});
 
-      system::SystemConfig b2 = env.base_config();
+      system::SystemConfig b2 = env.platform;
       b2.coalescer.pipeline_shape = coalescer::PipelineShape::kPerStep;
       system::apply_mode(b2, system::CoalescerMode::kFull);
       points.push_back({name, b2, env.params});

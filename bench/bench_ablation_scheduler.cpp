@@ -46,7 +46,7 @@ SuiteBench make_ablation_scheduler() {
       for (const hmc::SchedPolicy sched : kPolicies) {
         for (const hmc::NocModel noc : kNocs) {
           for (const system::CoalescerMode mode : kModes) {
-            system::SystemConfig cfg = env.base_config();
+            system::SystemConfig cfg = env.platform;
             cfg.hmc.closed_page = false;
             cfg.hmc.sched = sched;
             cfg.hmc.noc = noc;

@@ -2,22 +2,18 @@
 //
 // The paper picks Batcher odd-even mergesort because it "requires fewest
 // comparators compared to shellsort and bitonic sort" with O(log^2 n)
-// stages. This bench prints the comparator/step economics for odd-even
-// mergesort vs bitonic sort and microbenchmarks the functional network
-// against std::sort on window-sized inputs.
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <cstdio>
-#include <vector>
-
+// stages. This bench prints the comparator/step economics of odd-even
+// mergesort vs bitonic sort for n = 8..64.
+//
+// Not part of the default `bench_suite` selection: the default suite's
+// stdout+CSV bundle is pinned by the byte-identity golden, which predates
+// this bench. Run it via only=ablation_sorting.
 #include "coalescer/sorting_network.hpp"
-#include "common/rng.hpp"
-#include "common/table.hpp"
+#include "suite/benches.hpp"
+
+namespace hmcc::bench {
 
 namespace {
-
-using namespace hmcc;
 
 /// Bitonic sorting network comparator count: n/2 comparators in each of the
 /// k(k+1)/2 steps (k = log2 n).
@@ -27,55 +23,40 @@ std::uint32_t bitonic_comparators(std::uint32_t n) {
   return n / 2 * (k * (k + 1) / 2);
 }
 
-void print_network_economics() {
-  Table table({"n", "OEM comparators", "bitonic comparators", "steps",
-               "max comparators/step"});
-  for (std::uint32_t n : {8u, 16u, 32u, 64u}) {
-    coalescer::SortingNetwork net(n);
-    table.add_row({Table::fmt(std::uint64_t{n}),
-                   Table::fmt(std::uint64_t{net.num_comparators()}),
-                   Table::fmt(std::uint64_t{bitonic_comparators(n)}),
-                   Table::fmt(std::uint64_t{net.num_steps()}),
-                   Table::fmt(std::uint64_t{net.max_comparators_per_step()})});
-  }
-  std::printf(
-      "=== Ablation: Sorting Network Choice (paper SS3.3) ===\n"
-      "odd-even mergesort needs fewer comparators than bitonic at every "
-      "width (63 vs 80 at n=16):\n%s\n",
-      table.to_ascii().c_str());
-}
-
-void BM_OddEvenMergeSort(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  coalescer::SortingNetwork net(n);
-  Xoshiro256 rng(99);
-  std::vector<std::uint64_t> keys(n);
-  for (auto _ : state) {
-    for (auto& k : keys) k = rng();
-    net.sort(keys);
-    benchmark::DoNotOptimize(keys.data());
-  }
-}
-BENCHMARK(BM_OddEvenMergeSort)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_StdSort(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  Xoshiro256 rng(99);
-  std::vector<std::uint64_t> keys(n);
-  for (auto _ : state) {
-    for (auto& k : keys) k = rng();
-    std::sort(keys.begin(), keys.end());
-    benchmark::DoNotOptimize(keys.data());
-  }
-}
-BENCHMARK(BM_StdSort)->Arg(16)->Arg(32)->Arg(64);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  print_network_economics();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+SuiteBench make_ablation_sorting() {
+  SuiteBench b;
+  b.meta.name = "ablation_sorting";
+  b.meta.title = "Ablation: Sorting Network Choice";
+  b.meta.paper_note =
+      "paper SS3.3: odd-even mergesort needs fewer comparators than bitonic "
+      "at every width (63 vs 80 at n=16)";
+  b.in_default_suite = false;
+  // Pure arithmetic wrapped as one task — see fig01 for why every bench
+  // keeps a non-empty task list.
+  b.tasks = [](const BenchEnv&) {
+    std::vector<SuiteTask> tasks;
+    tasks.push_back([] {
+      Table table({"n", "OEM comparators", "bitonic comparators", "steps",
+                   "max comparators/step"});
+      for (std::uint32_t n : {8u, 16u, 32u, 64u}) {
+        const coalescer::SortingNetwork net(n);
+        table.add_row(
+            {Table::fmt(std::uint64_t{n}),
+             Table::fmt(std::uint64_t{net.num_comparators()}),
+             Table::fmt(std::uint64_t{bitonic_comparators(n)}),
+             Table::fmt(std::uint64_t{net.num_steps()}),
+             Table::fmt(std::uint64_t{net.max_comparators_per_step()})});
+      }
+      return std::any(std::move(table));
+    });
+    return tasks;
+  };
+  b.format = [](const BenchEnv&, std::vector<std::any>& results) {
+    return result_as<Table>(results[0]);
+  };
+  return b;
 }
+
+}  // namespace hmcc::bench

@@ -46,7 +46,7 @@ SuiteBench make_ablation_warp() {
       for (const std::uint32_t width : kWidths) {
         for (const std::uint32_t window : kWindows) {
           for (const system::CoalescerMode mode : kModes) {
-            system::SystemConfig cfg = env.base_config();
+            system::SystemConfig cfg = env.platform;
             cfg.coalescer.window = window;
             system::apply_mode(cfg, mode);
             workloads::WorkloadParams params = env.params;

@@ -22,7 +22,7 @@ SuiteBench make_fig08() {
       for (const auto mode :
            {system::CoalescerMode::kConventional,
             system::CoalescerMode::kDmcOnly, system::CoalescerMode::kFull}) {
-        system::SystemConfig cfg = env.base_config();
+        system::SystemConfig cfg = env.platform;
         system::apply_mode(cfg, mode);
         points.push_back({name, cfg, env.params});
       }

@@ -31,7 +31,7 @@ SuiteBench make_fig09() {
   b.tasks = [](const BenchEnv& env) {
     std::vector<SuiteTask> tasks;
     for (const std::string& name : workloads::workload_names()) {
-      system::SystemConfig conv = env.base_config();
+      system::SystemConfig conv = env.platform;
       system::apply_mode(conv, system::CoalescerMode::kConventional);
       tasks.push_back([name, conv, params = env.params] {
         std::vector<coalescer::CoalescerRequest> stream;

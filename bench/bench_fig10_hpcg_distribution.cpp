@@ -26,7 +26,7 @@ SuiteBench make_fig10() {
   b.meta.title = "Figure 10: Coalesced HMC Request Distribution of HPCG";
   b.meta.paper_note = "paper: 40.25% of coalesced requests are 16B loads";
   b.tasks = [](const BenchEnv& env) {
-    system::SystemConfig cfg = env.base_config();
+    system::SystemConfig cfg = env.platform;
     system::apply_mode(cfg, system::CoalescerMode::kConventional);
     std::vector<SuiteTask> tasks;
     tasks.push_back([cfg, params = env.params] {

@@ -19,11 +19,11 @@ SuiteBench make_fig11() {
   b.tasks = [](const BenchEnv& env) {
     std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
-      system::SystemConfig conv = env.base_config();
+      system::SystemConfig conv = env.platform;
       system::apply_mode(conv, system::CoalescerMode::kConventional);
       points.push_back({name, conv, env.params});
 
-      system::SystemConfig full = env.base_config();
+      system::SystemConfig full = env.platform;
       system::apply_mode(full, system::CoalescerMode::kFull);
       points.push_back({name, full, env.params});
     }

@@ -16,7 +16,7 @@ SuiteBench make_fig12() {
   b.tasks = [](const BenchEnv& env) {
     std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
-      system::SystemConfig full = env.base_config();
+      system::SystemConfig full = env.platform;
       system::apply_mode(full, system::CoalescerMode::kFull);
       points.push_back({name, full, env.params});
     }

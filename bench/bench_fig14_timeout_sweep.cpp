@@ -19,7 +19,7 @@ SuiteBench make_fig14() {
     std::vector<Point> points;
     for (const std::string& name : workloads::workload_names()) {
       for (std::size_t t = 0; t < 4; ++t) {
-        system::SystemConfig full = env.base_config();
+        system::SystemConfig full = env.platform;
         full.coalescer.timeout = timeouts[t];
         system::apply_mode(full, system::CoalescerMode::kFull);
         points.push_back({name, full, env.params});

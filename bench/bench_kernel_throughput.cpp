@@ -12,16 +12,17 @@
 //     run_until() slices plus occasional far-future (overflow-heap) events,
 //     the pattern of trace-driven stepping.
 //
-// Results are printed and appended as one JSON object per pattern to
-// BENCH_kernel.json (knob json=<path>, "" disables) so the performance
-// trajectory is tracked across PRs.  Knobs: events=<n> (default 1000000),
-// json=<path>.
+// Results are printed and written as one JSON document, one object per
+// pattern, to BENCH_kernel.json (knob json=<path>, "" disables) so the
+// performance trajectory is tracked across PRs. Knobs: events=<n> (default
+// 1000000), json=<path>; any other key, or a bad events= value, exits 2.
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/descriptor.hpp"
+#include "common/file_io.hpp"
 #include "sim/kernel.hpp"
 #include "sim/reference_kernel.hpp"
 
@@ -106,10 +107,10 @@ struct PatternResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hmcc::Config cli;
-  cli.parse_args(argc, argv);
-  const std::uint64_t events = cli.get_uint("events", 1000000);
-  const std::string json_path = cli.get_string("json", "BENCH_kernel.json");
+  hmcc::desc::Args args(argc, argv);
+  const std::uint64_t events = args.uint("events", 1000000, 1, 1ULL << 32);
+  const std::string json_path = args.text("json", "BENCH_kernel.json");
+  if (!args.finish()) return 2;
 
   std::vector<PatternResult> results;
   results.push_back({"schedule_heavy", events,
@@ -140,11 +141,12 @@ int main(int argc, char** argv) {
   }
   json += "]}\n";
   if (!json_path.empty()) {
-    if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
-      std::fclose(f);
-      std::printf("(written to %s)\n", json_path.c_str());
+    const std::string err = hmcc::write_file_atomic(json_path, json);
+    if (!err.empty()) {
+      std::fprintf(stderr, "error: %s\n", err.c_str());
+      return 1;
     }
+    std::printf("(written to %s)\n", json_path.c_str());
   }
   return 0;
 }

@@ -23,5 +23,6 @@ SuiteBench make_ablation_hmc_paging();
 SuiteBench make_ablation_scheduler();
 SuiteBench make_ablation_warp();
 SuiteBench make_ablation_hybrid();
+SuiteBench make_ablation_sorting();
 
 }  // namespace hmcc::bench

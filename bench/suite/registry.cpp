@@ -24,6 +24,7 @@ const std::vector<SuiteBench>& suite_benches() {
       make_ablation_scheduler(),
       make_ablation_warp(),
       make_ablation_hybrid(),
+      make_ablation_sorting(),
   };
   return benches;
 }

@@ -96,9 +96,10 @@ const T& result_as(const std::any& result) {
   return std::any_cast<const T&>(result);
 }
 
-/// Write @p body to @p file_name in the directory of env.csv_path, through
-/// a temp file and rename so a crash never leaves a torn file. Benches call
-/// it only when CSV output is on; a failed write warns on stderr.
+/// Write @p body to @p file_name in the directory of env.csv_path through
+/// write_file_atomic (common/file_io.hpp). Benches call it only when CSV
+/// output is on. @throws std::runtime_error "<path>: <reason>" when the
+/// write fails, which fails the bench.
 void write_beside_csv(const BenchEnv& env, const std::string& file_name,
                       const std::string& body);
 

@@ -22,22 +22,26 @@
 //                   the working directory
 //   nocsv=1         disable CSV output entirely
 //   threads=N       pool size, 0..256 (kMaxThreads; 0 = hardware
-//                   concurrency), plus every bench/platform knob from
-//                   bench_util.hpp
+//                   concurrency), plus every platform and workload knob
+//                   (bench_util.hpp)
 //
-// A malformed or out-of-range platform knob, threads= or nocsv= value
-// prints one "error: key: problem" line per problem and exits 2 before any
-// thread starts.
+// A token with no '=', an unknown key, an unknown bench in only= or a
+// rejected value prints one "error: key: problem" line per problem and
+// exits 2 before any thread starts. A bench that throws, or whose CSV or
+// BENCH_*.json cannot be written, counts as failed: exit code 1.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "obs/metrics.hpp"
 #include "suite/registry.hpp"
+#include "system/config_bridge.hpp"
 
 namespace hmcc::bench {
 
@@ -47,21 +51,6 @@ constexpr std::uint64_t kSmokeAccesses = 500;
 /// Upper bound on threads=: far above any core count this runs on, yet a
 /// typo cannot ask the OS for millions of threads.
 constexpr std::uint64_t kMaxThreads = 256;
-
-/// Atomic snapshot write (temp file + rename), same publication discipline
-/// as obs::TraceWriter: a crash mid-write never leaves a torn file behind.
-bool write_text_file(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
 
 std::vector<std::string> split_csv_list(const std::string& s) {
   std::vector<std::string> out;
@@ -80,12 +69,11 @@ std::vector<std::string> split_csv_list(const std::string& s) {
 
 void write_beside_csv(const BenchEnv& env, const std::string& file_name,
                       const std::string& body) {
-  const std::string path =
+  std::string err = write_file_atomic(
       (std::filesystem::path(env.csv_path).parent_path() / file_name)
-          .string();
-  if (!write_text_file(path, body)) {
-    std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-  }
+          .string(),
+      body);
+  if (!err.empty()) throw std::runtime_error(std::move(err));
 }
 
 int run_suite(int argc, char** argv) {
@@ -116,34 +104,16 @@ int run_suite(int argc, char** argv) {
     return 0;
   }
 
-  Config cli;
-  std::vector<std::string> rejected;
-  cli.parse_args(static_cast<int>(kv_args.size()), kv_args.data(), &rejected);
-  warn_unrecognized(cli, rejected, {"only", "csvdir", "nocsv", "threads"});
-
-  // Platform knobs are shared by every bench of the run, and threads= and
-  // nocsv= shape the run itself: validate them all once up front (one line
-  // per problem) instead of throwing from a worker mid suite.
-  std::vector<std::string> errors;
-  {
-    system::SystemConfig probe = system::paper_system_config();
-    system::overlay_config(cli, probe, errors);
-  }
-  const desc::ParsedUInt threads =
-      desc::parse_uint(cli.get_string("threads", "0"), 0, kMaxThreads);
-  if (!threads.ok) errors.push_back("threads: " + threads.error);
-  const desc::ParsedBool nocsv = desc::parse_bool(cli.get_string("nocsv", "0"));
-  if (!nocsv.ok) errors.push_back("nocsv: " + nocsv.error);
-  if (!errors.empty()) {
-    for (const std::string& e : errors) {
-      std::fprintf(stderr, "error: %s\n", e.c_str());
-    }
-    return 2;
-  }
-
-  // Select benches.
+  desc::Args args(static_cast<int>(kv_args.size()), kv_args.data());
+  const system::SystemConfig platform = system::platform_from(args);
+  workloads::WorkloadParams params;
+  args.overlay(workloads::workload_knobs(), params);
+  const bool own_accesses = args.config().has("accesses");
+  const std::uint64_t threads = args.uint("threads", 0, 0, kMaxThreads);
+  const bool nocsv = args.flag("nocsv", false);
+  const std::string csvdir = args.text("csvdir", "");
   std::vector<const SuiteBench*> selected;
-  const std::string only = cli.get_string("only", "");
+  const std::string only = args.text("only", "");
   if (only.empty()) {
     for (const SuiteBench& b : suite_benches()) {
       if (b.in_default_suite) selected.push_back(&b);
@@ -152,16 +122,13 @@ int run_suite(int argc, char** argv) {
     for (const std::string& name : split_csv_list(only)) {
       const SuiteBench* b = find_bench(name);
       if (b == nullptr) {
-        std::fprintf(stderr, "error: unknown bench '%s' in only= (see "
-                             "--list)\n",
-                     name.c_str());
-        return 2;
+        args.fail("only: unknown bench '" + name + "' (see --list)");
+      } else {
+        selected.push_back(b);
       }
-      selected.push_back(b);
     }
   }
-
-  const std::string csvdir = cli.get_string("csvdir", "");
+  if (!args.finish()) return 2;
 
   // Submit the whole suite to one pool before collecting anything: there is
   // no join barrier between benches, only each bench's ordered future
@@ -171,19 +138,19 @@ int run_suite(int argc, char** argv) {
     BenchEnv env;
     std::vector<std::future<std::any>> futures;
   };
-  ThreadPool pool(static_cast<unsigned>(threads.value));
+  ThreadPool pool(static_cast<unsigned>(threads));
   std::vector<Scheduled> scheduled;
   scheduled.reserve(selected.size());
   std::size_t total_tasks = 0;
   for (const SuiteBench* b : selected) {
-    Scheduled s{b,
-                make_env(cli, b->meta.name.c_str(),
-                         smoke ? kSmokeAccesses : b->meta.default_accesses),
-                {}};
-    if (nocsv.value) {
-      s.env.csv_path.clear();
-    } else if (!csvdir.empty() && !cli.has("csv")) {
-      s.env.csv_path = csvdir + "/" + b->meta.name + ".csv";
+    Scheduled s{b, {platform, params, {}}, {}};
+    if (!own_accesses) {
+      s.env.params.accesses_per_core =
+          smoke ? kSmokeAccesses : b->meta.default_accesses;
+    }
+    if (!nocsv) {
+      s.env.csv_path =
+          (csvdir.empty() ? "" : csvdir + "/") + b->meta.name + ".csv";
     }
     std::vector<SuiteTask> tasks =
         b->tasks ? b->tasks(s.env) : std::vector<SuiteTask>{};
@@ -208,8 +175,15 @@ int run_suite(int argc, char** argv) {
       std::vector<std::any> results = collect_tasks(std::move(s.futures));
       const Table table = s.bench->format(s.env, results);
       std::string csv_note;
-      if (!s.env.csv_path.empty() && table.write_csv(s.env.csv_path)) {
-        csv_note = "(rows written to " + s.env.csv_path + ")\n";
+      if (!s.env.csv_path.empty()) {
+        const std::string err =
+            write_file_atomic(s.env.csv_path, table.to_csv());
+        if (err.empty()) {
+          csv_note = "(rows written to " + s.env.csv_path + ")\n";
+        } else {
+          std::fprintf(stderr, "error: %s\n", err.c_str());
+          ++failures;
+        }
       }
       std::string out;
       if (s.bench->preamble) out = s.bench->preamble(s.env, results);
@@ -255,9 +229,10 @@ int run_suite(int argc, char** argv) {
     suite_reg
         .gauge("hmcc_suite_threads", "Thread pool size used for the sweep")
         .set(static_cast<double>(pool.threads()));
-    if (!write_text_file(metrics_path, suite_reg.render_prometheus())) {
-      std::fprintf(stderr, "error: could not write metrics to %s\n",
-                   metrics_path.c_str());
+    const std::string err =
+        write_file_atomic(metrics_path, suite_reg.render_prometheus());
+    if (!err.empty()) {
+      std::fprintf(stderr, "error: %s\n", err.c_str());
       ++failures;
     }
   }

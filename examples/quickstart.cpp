@@ -3,48 +3,47 @@
 // reports (coalescing efficiency, bandwidth efficiency, speedup).
 //
 // Usage: quickstart [workload=stream] [accesses=20000] [seed=1]
-//        [mode=coalescer|conventional|dmc-only|none]
 //        [metrics_out=PATH]   write the coalesced run's Prometheus counters
-//        [trace_json=PATH]    write a chrome://tracing span file of the run
+//        [trace_json=PATH]    write a chrome://tracing span file of the
+//                             coalesced run
+//        plus every platform key (mlp= timeout= window= llc_mshrs= ...,
+//        system/config_bridge.hpp) and workload key (warps= ...); mode= is
+//        swept, so the two runs override it. A bad argument exits 2.
 #include <cstdio>
+#include <exception>
 
-#include "common/config.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
+#include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace hmcc;
 
-  Config cli;
-  cli.parse_args(argc, argv);
-  const std::string workload = cli.get_string("workload", "stream");
+  desc::Args args(argc, argv);
+  const system::SystemConfig base = system::platform_from(args);
   workloads::WorkloadParams params;
-  params.accesses_per_core = cli.get_uint("accesses", 20000);
-  params.seed = cli.get_uint("seed", 1);
+  params.accesses_per_core = 20000;
+  args.overlay(workloads::workload_knobs(), params);
+  const std::string workload = args.text("workload", "stream");
+  const std::string metrics_out = args.text("metrics_out", "");
+  if (!workloads::make_workload(workload)) {
+    args.fail("workload: unknown workload '" + workload + "'");
+  }
+  if (!args.finish()) return 2;
 
   std::printf("hmc-coalescer quickstart: workload '%s', %llu accesses/core\n",
               workload.c_str(),
               static_cast<unsigned long long>(params.accesses_per_core));
 
   Table table({"metric", "conventional MSHR", "memory coalescer"});
-  system::SystemConfig base = system::paper_system_config();
-  base.core.max_outstanding_misses = static_cast<std::uint32_t>(
-      cli.get_uint("mlp", base.core.max_outstanding_misses));
-  base.coalescer.timeout = cli.get_uint("timeout", base.coalescer.timeout);
-  base.coalescer.window = static_cast<std::uint32_t>(
-      cli.get_uint("window", base.coalescer.window));
-  base.hierarchy.llc_mshrs = static_cast<std::uint32_t>(
-      cli.get_uint("mshrs", base.hierarchy.llc_mshrs));
-
   system::SystemConfig conv = base;
   system::apply_mode(conv, system::CoalescerMode::kConventional);
-  const auto baseline = system::run_workload(workload, conv, params);
-
+  conv.obs.trace_json.clear();  // the trace covers the coalesced run only
   system::SystemConfig full = base;
   system::apply_mode(full, system::CoalescerMode::kFull);
-  const std::string metrics_out = cli.get_string("metrics_out", "");
-  full.obs.metrics = !metrics_out.empty();
-  full.obs.trace_json = cli.get_string("trace_json", "");
+  full.obs.metrics = full.obs.metrics || !metrics_out.empty();
+  const auto baseline = system::run_workload(workload, conv, params);
   const auto coalesced = system::run_workload(workload, full, params);
 
   const auto& b = baseline.report;
@@ -93,17 +92,19 @@ int main(int argc, char** argv) {
               c.coalescing_efficiency() * 100.0);
 
   if (!metrics_out.empty()) {
-    std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s\n", metrics_out.c_str());
+    const std::string err =
+        write_file_atomic(metrics_out, coalesced.metrics_text);
+    if (!err.empty()) {
+      std::fprintf(stderr, "error: %s\n", err.c_str());
       return 1;
     }
-    std::fputs(coalesced.metrics_text.c_str(), f);
-    std::fclose(f);
     std::printf("metrics written to %s\n", metrics_out.c_str());
   }
   if (!full.obs.trace_json.empty()) {
     std::printf("trace written to %s\n", full.obs.trace_json.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

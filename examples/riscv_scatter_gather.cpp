@@ -4,12 +4,15 @@
 // addresses are computed by the PROGRAM (an xorshift PRNG in assembly), so
 // the memory trace is genuinely produced by executed RV64 instructions.
 //
-// Usage: riscv_scatter_gather [iters=2048] [cores=12]
+// Usage: riscv_scatter_gather [iters=2048] [cores=12], plus every platform
+// key but trace_record= and trace_replay= (the program makes the trace).
+// mode= is swept, so each column overrides it. A bad argument exits 2.
 #include <cstdio>
+#include <exception>
 
-#include "common/config.hpp"
 #include "common/table.hpp"
 #include "riscv/tracing.hpp"
+#include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 
 namespace {
@@ -63,12 +66,18 @@ done:
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace hmcc;
-  Config cli;
-  cli.parse_args(argc, argv);
-  const std::uint64_t iters = cli.get_uint("iters", 2048);
-  const auto cores = static_cast<std::uint32_t>(cli.get_uint("cores", 12));
+  desc::Args args(argc, argv);
+  const system::SystemConfig platform = system::platform_from(args);
+  const std::uint64_t iters = args.uint("iters", 2048, 1, 1u << 20);
+  for (const char* key : {"trace_record", "trace_replay"}) {
+    if (args.config().has(key)) {
+      args.fail(std::string(key) + ": the RISC-V program makes the trace");
+    }
+  }
+  if (!args.finish()) return 2;
+  const std::uint32_t cores = platform.hierarchy.num_cores;
 
   std::string source = kGatherSource;
   const std::string key = "ITERS";
@@ -95,8 +104,7 @@ int main(int argc, char** argv) {
   const system::CoalescerMode modes[] = {system::CoalescerMode::kConventional,
                                          system::CoalescerMode::kFull};
   for (int m = 0; m < 2; ++m) {
-    system::SystemConfig cfg = system::paper_system_config();
-    cfg.hierarchy.num_cores = cores;
+    system::SystemConfig cfg = platform;
     system::apply_mode(cfg, modes[m]);
     system::System sys(cfg);
     reports[m] = sys.run(traced.trace);
@@ -115,4 +123,7 @@ int main(int argc, char** argv) {
       "\nsequential idx/out streams coalesce; the PRNG-driven gathers do "
       "not — the mixed profile of the paper's SG benchmark.\n");
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

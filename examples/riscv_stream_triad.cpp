@@ -7,12 +7,15 @@
 // cores take one cache line of elements each, round-robin — the cyclic
 // OpenMP schedule whose aggregated misses the coalescer was built for.
 //
-// Usage: riscv_stream_triad [iters=4096] [cores=12]
+// Usage: riscv_stream_triad [iters=4096] [cores=12], plus every platform
+// key but trace_record= and trace_replay= (the program makes the trace).
+// mode= is swept, so each column overrides it. A bad argument exits 2.
 #include <cstdio>
+#include <exception>
 
-#include "common/config.hpp"
 #include "common/table.hpp"
 #include "riscv/tracing.hpp"
+#include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 
 namespace {
@@ -55,12 +58,18 @@ done:
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace hmcc;
-  Config cli;
-  cli.parse_args(argc, argv);
-  const std::uint64_t iters = cli.get_uint("iters", 4096);
-  const auto cores = static_cast<std::uint32_t>(cli.get_uint("cores", 12));
+  desc::Args args(argc, argv);
+  const system::SystemConfig platform = system::platform_from(args);
+  const std::uint64_t iters = args.uint("iters", 4096, 1, 1u << 20);
+  for (const char* key : {"trace_record", "trace_replay"}) {
+    if (args.config().has(key)) {
+      args.fail(std::string(key) + ": the RISC-V program makes the trace");
+    }
+  }
+  if (!args.finish()) return 2;
+  const std::uint32_t cores = platform.hierarchy.num_cores;
 
   // Substitute the chunk count into the source (poor man's preprocessor).
   std::string source = kTriadSource;
@@ -96,8 +105,7 @@ int main(int argc, char** argv) {
   const system::CoalescerMode modes[] = {system::CoalescerMode::kConventional,
                                          system::CoalescerMode::kFull};
   for (int m = 0; m < 2; ++m) {
-    system::SystemConfig cfg = system::paper_system_config();
-    cfg.hierarchy.num_cores = cores;
+    system::SystemConfig cfg = platform;
     system::apply_mode(cfg, modes[m]);
     system::System sys(cfg);
     reports[m] = sys.run(traced.trace);
@@ -124,4 +132,7 @@ int main(int argc, char** argv) {
                               static_cast<double>(c.runtime)
                         : 0.0);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -5,20 +5,23 @@
 // request-size mix and bank-conflict telemetry that explain WHY coalescing
 // helps: fewer, larger packets mean fewer row activations in the HMC.
 //
-// Usage: spmv_hpcg [accesses=30000] [seed=1]
+// Usage: spmv_hpcg [accesses=30000] [seed=1], plus every platform key
+// (mode= is swept, so each row overrides it). A bad argument exits 2.
 #include <cstdio>
+#include <exception>
 
-#include "common/config.hpp"
 #include "common/table.hpp"
+#include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace hmcc;
-  Config cli;
-  cli.parse_args(argc, argv);
+  desc::Args args(argc, argv);
+  const system::SystemConfig platform = system::platform_from(args);
   workloads::WorkloadParams params;
-  params.accesses_per_core = cli.get_uint("accesses", 30000);
-  params.seed = cli.get_uint("seed", 1);
+  params.accesses_per_core = 30000;
+  args.overlay(workloads::workload_knobs(), params);
+  if (!args.finish()) return 2;
 
   const system::CoalescerMode modes[] = {
       system::CoalescerMode::kNone, system::CoalescerMode::kConventional,
@@ -28,7 +31,7 @@ int main(int argc, char** argv) {
                "row activations", "bank conflicts", "runtime (cycles)"});
   std::uint64_t baseline_runtime = 0;
   for (const auto mode : modes) {
-    system::SystemConfig cfg = system::paper_system_config();
+    system::SystemConfig cfg = platform;
     system::apply_mode(cfg, mode);
     const auto r = system::run_workload("hpcg", cfg, params);
     const auto& rep = r.report;
@@ -55,4 +58,7 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.to_ascii().c_str(), stdout);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -8,80 +8,61 @@
 //   trace_workbench cmd=run     workload=lu  [mode=conventional]
 //
 // cmd=save writes the versioned .hmct corpus format (src/trace/codec.hpp),
-// which file= / trace_replay= read back. The platform knobs trace_record=PATH / trace_replay=PATH work here exactly as
-// in the benches, so a recorded corpus file replays byte-identically:
+// which file= / trace_replay= read back. The platform knobs
+// trace_record=PATH / trace_replay=PATH work here exactly as in the
+// benches, so a recorded corpus file replays byte-identically:
 //
 //   trace_workbench cmd=run workload=warp_gups trace_record=g.hmct csv=a.csv
 //   trace_workbench cmd=run trace_replay=g.hmct csv=b.csv   # a.csv == b.csv
 //
-// With metrics=1 [sample_interval=N] metrics_out=PATH, cmd=run writes the
+// With metrics_out=PATH [sample_interval=N], cmd=run writes the
 // run's full Prometheus registry (including the mid-run occupancy samples)
 // to PATH after the simulation drains. csv=PATH mirrors the stdout result
 // table into a machine-readable CSV (the record/replay CI gate diffs it).
+// Every platform and workload key applies; a bad argument exits 2, and a
+// failed read or write prints "error: ..." and exits 1.
+#include <algorithm>
 #include <cstdio>
-#include <stdexcept>
+#include <exception>
 #include <string>
 
-#include "common/config.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 #include "trace/codec.hpp"
 #include "trace/trace.hpp"
-#include "workloads/warp.hpp"
 #include "workloads/workload.hpp"
 
 namespace {
 
 using namespace hmcc;
 
-bool load_any(trace::MultiTrace& mt, const std::string& path) {
-  const trace::CodecResult res = trace::read_file(mt, path);
+/// Print "error: <what>" and return false when @p res failed.
+bool report(const trace::CodecResult& res) {
   if (!res.ok()) {
-    std::fprintf(stderr, "failed to load trace '%s': %s (%s)\n", path.c_str(),
-                 trace::to_string(res.status), res.detail.c_str());
-    return false;
+    std::fprintf(stderr, "error: %s (%s)\n", res.detail.c_str(),
+                 trace::to_string(res.status));
   }
-  return true;
+  return res.ok();
 }
 
-trace::MultiTrace obtain_trace(const Config& cli,
-                               const system::SystemConfig& cfg, bool* ok) {
-  *ok = true;
-  const std::string replay = cfg.trace_io.replay_path;
-  const std::string file = cli.get_string("file", "");
-  const std::string workload = cli.get_string("workload", "");
-  trace::MultiTrace mt;
-  if (!replay.empty()) {
-    *ok = load_any(mt, replay);
+/// The trace to work on: trace_replay=, else file= (without workload=),
+/// else the generated workload; recorded to trace_record= when set.
+bool obtain_trace(trace::MultiTrace& mt, const system::SystemConfig& cfg,
+                  workloads::WorkloadParams params, const std::string& file,
+                  const std::string& workload) {
+  if (!cfg.trace_io.replay_path.empty()) {
+    if (!report(trace::read_file(mt, cfg.trace_io.replay_path))) return false;
   } else if (!file.empty() && workload.empty()) {
-    *ok = load_any(mt, file);
+    if (!report(trace::read_file(mt, file))) return false;
   } else {
-    auto gen =
-        workloads::make_workload(workload.empty() ? "stream" : workload);
-    if (!gen) {
-      std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-      *ok = false;
-      return {};
-    }
-    workloads::WorkloadParams params;
     params.num_cores = cfg.hierarchy.num_cores;
-    params.accesses_per_core = cli.get_uint("accesses", 20000);
-    params.seed = cli.get_uint("seed", 1);
-    params.warp = workloads::warp_params_from_cli(cli);
-    mt = gen->generate(params);
+    mt = workloads::make_workload(workload.empty() ? "stream" : workload)
+             ->generate(params);
   }
-  if (*ok && !cfg.trace_io.record_path.empty()) {
-    const trace::CodecResult res =
-        trace::write_file(mt, cfg.trace_io.record_path);
-    if (!res.ok()) {
-      std::fprintf(stderr, "trace_record='%s' failed: %s (%s)\n",
-                   cfg.trace_io.record_path.c_str(),
-                   trace::to_string(res.status), res.detail.c_str());
-      *ok = false;
-    }
-  }
-  return mt;
+  return cfg.trace_io.record_path.empty() ||
+         report(trace::write_file(mt, cfg.trace_io.record_path));
 }
 
 void print_profile(const trace::MultiTrace& mt) {
@@ -103,81 +84,68 @@ void print_profile(const trace::MultiTrace& mt) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  Config cli;
-  cli.parse_args(argc, argv);
-  const std::string cmd = cli.get_string("cmd", "profile");
-  system::SystemConfig cfg;
-  try {
-    cfg = system::config_from_cli(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
+int main(int argc, char** argv) try {
+  desc::Args args(argc, argv);
+  system::SystemConfig cfg = system::platform_from(args);
+  workloads::WorkloadParams params;
+  params.accesses_per_core = 20000;
+  args.overlay(workloads::workload_knobs(), params);
+  const std::string cmd = args.text("cmd", "profile");
+  const std::string file = args.text("file", "");
+  const std::string workload = args.text("workload", "");
+  const std::string csv_out = args.text("csv", "");
+  const std::string metrics_out = args.text("metrics_out", "");
+  if (cmd != "profile" && cmd != "save" && cmd != "run") {
+    args.fail("cmd: '" + cmd + "' is not one of profile|save|run");
   }
+  if (!workload.empty() && !workloads::make_workload(workload)) {
+    args.fail("workload: unknown workload '" + workload + "'");
+  }
+  if (!args.finish()) return 2;
 
-  bool ok = true;
-  const trace::MultiTrace mt = obtain_trace(cli, cfg, &ok);
-  if (!ok) return 1;
+  trace::MultiTrace mt;
+  if (!obtain_trace(mt, cfg, params, file, workload)) return 1;
 
   if (cmd == "profile") {
     print_profile(mt);
     return 0;
   }
   if (cmd == "save") {
-    const std::string file = cli.get_string("file", "out.hmct");
-    const trace::CodecResult res = trace::write_file(mt, file);
-    if (!res.ok()) {
-      std::fprintf(stderr, "failed to write '%s': %s (%s)\n", file.c_str(),
-                   trace::to_string(res.status), res.detail.c_str());
-      return 1;
-    }
+    const std::string path = file.empty() ? "out.hmct" : file;
+    if (!report(trace::write_file(mt, path))) return 1;
     std::printf("wrote %llu records to %s\n",
                 static_cast<unsigned long long>(mt.total_records()),
-                file.c_str());
+                path.c_str());
     return 0;
   }
-  if (cmd == "run") {
-    cfg.hierarchy.num_cores = static_cast<std::uint32_t>(
-        std::max<std::size_t>(1, mt.num_cores()));
-    system::apply_mode(cfg, cfg.mode);
-    system::System sys(cfg);
-    const system::SystemReport rep = sys.run(mt);
-    Table t({"metric", "value"});
-    t.add_row({"datapath", system::to_string(cfg.mode)});
-    t.add_row({"CPU accesses", Table::fmt(rep.cpu_accesses)});
-    t.add_row({"LLC misses + WBs",
-               Table::fmt(rep.llc_misses + rep.writebacks)});
-    t.add_row({"HMC requests", Table::fmt(rep.memory_requests)});
-    t.add_row({"coalescing efficiency",
-               Table::pct(rep.coalescing_efficiency())});
-    t.add_row({"wire bytes", Table::fmt(rep.hmc.transferred_bytes)});
-    t.add_row({"runtime (cycles)", Table::fmt(rep.runtime)});
-    t.add_row({"runtime (us)",
-               Table::fmt(rep.runtime_seconds() * 1e6, 2)});
-    std::fputs(t.to_ascii().c_str(), stdout);
-    const std::string csv_out = cli.get_string("csv", "");
-    if (!csv_out.empty()) {
-      std::FILE* f = std::fopen(csv_out.c_str(), "wb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "failed to write '%s'\n", csv_out.c_str());
-        return 1;
-      }
-      std::fputs(t.to_csv().c_str(), f);
-      std::fclose(f);
-    }
-    const std::string metrics_out = cli.get_string("metrics_out", "");
-    if (!metrics_out.empty() && sys.metrics() != nullptr) {
-      std::FILE* f = std::fopen(metrics_out.c_str(), "wb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "failed to write '%s'\n", metrics_out.c_str());
-        return 1;
-      }
-      const std::string text = sys.metrics()->render_prometheus();
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
-    }
-    return rep.drained ? 0 : 2;
+  cfg.hierarchy.num_cores =
+      static_cast<std::uint32_t>(std::max<std::size_t>(1, mt.num_cores()));
+  cfg.obs.metrics = cfg.obs.metrics || !metrics_out.empty();
+  system::apply_mode(cfg, cfg.mode);
+  system::System sys(cfg);
+  const system::SystemReport rep = sys.run(mt);
+  Table t({"metric", "value"});
+  t.add_row({"datapath", system::to_string(cfg.mode)});
+  t.add_row({"CPU accesses", Table::fmt(rep.cpu_accesses)});
+  t.add_row({"LLC misses + WBs", Table::fmt(rep.llc_misses + rep.writebacks)});
+  t.add_row({"HMC requests", Table::fmt(rep.memory_requests)});
+  t.add_row({"coalescing efficiency", Table::pct(rep.coalescing_efficiency())});
+  t.add_row({"wire bytes", Table::fmt(rep.hmc.transferred_bytes)});
+  t.add_row({"runtime (cycles)", Table::fmt(rep.runtime)});
+  t.add_row({"runtime (us)", Table::fmt(rep.runtime_seconds() * 1e6, 2)});
+  std::fputs(t.to_ascii().c_str(), stdout);
+  auto write = [](const std::string& path, const std::string& body) {
+    const std::string err = write_file_atomic(path, body);
+    if (!err.empty()) std::fprintf(stderr, "error: %s\n", err.c_str());
+    return err.empty();
+  };
+  if (!csv_out.empty() && !write(csv_out, t.to_csv())) return 1;
+  if (!metrics_out.empty() &&
+      !write(metrics_out, sys.metrics()->render_prometheus())) {
+    return 1;
   }
-  std::fprintf(stderr, "unknown cmd '%s' (profile|save|run)\n", cmd.c_str());
+  return rep.drained ? 0 : 2;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
   return 1;
 }

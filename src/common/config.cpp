@@ -56,15 +56,6 @@ double Config::get_double(const std::string& key, double fallback) const {
   return v;
 }
 
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& s = it->second;
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  return fallback;
-}
-
 std::size_t Config::parse_args(int argc, const char* const* argv,
                                std::vector<std::string>* rejected) {
   std::size_t accepted = 0;

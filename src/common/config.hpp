@@ -1,7 +1,10 @@
-// Minimal key=value configuration store with typed getters.
+// Minimal key=value configuration store.
 //
-// Experiment binaries accept "key=value" command-line overrides; modules read
-// their parameters through this class so every knob is scriptable.
+// Every binary reads its command line through desc::Args
+// (common/descriptor.hpp), which runs parse_args() once and applies the knob
+// tables to the stored values. The fallback getters below return a default
+// for a missing or malformed value instead of reporting it: bench/ and
+// examples/ read no key through them, only perfbench/ still does.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +40,12 @@ class Config {
                                        std::uint64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   /// Parse argv-style overrides; returns the number of accepted
   /// assignments. Entries not of the form "key=value" are skipped and, when
-  /// @p rejected is non-null, appended to it so callers can warn instead of
-  /// silently dropping a typo'd knob.
+  /// @p rejected is non-null, appended to it so callers can report them
+  /// (desc::Args makes each one an error) instead of silently dropping a
+  /// typo'd knob.
   std::size_t parse_args(int argc, const char* const* argv,
                          std::vector<std::string>* rejected = nullptr);
 

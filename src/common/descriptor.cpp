@@ -1,7 +1,9 @@
 #include "common/descriptor.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace hmcc::desc {
@@ -165,6 +167,49 @@ ParsedBool parse_bool(const std::string& raw) {
                 "0/false/no/off)";
   }
   return out;
+}
+
+Args::Args(int argc, const char* const* argv) {
+  std::vector<std::string> malformed;
+  cli_.parse_args(argc, argv, &malformed);
+  for (const std::string& tok : malformed) {
+    errors_.push_back(tok + ": expected key=value");
+  }
+}
+
+std::string Args::text(const std::string& key, const std::string& fallback) {
+  declared_.push_back(key);
+  return cli_.get_string(key, fallback);
+}
+
+std::uint64_t Args::uint(const std::string& key, std::uint64_t fallback,
+                         std::uint64_t min, std::uint64_t max) {
+  declared_.push_back(key);
+  if (!cli_.has(key)) return fallback;
+  const ParsedUInt p = parse_uint(cli_.get_string(key, ""), min, max);
+  if (!p.ok) fail(key + ": " + p.error);
+  return p.ok ? p.value : fallback;
+}
+
+bool Args::flag(const std::string& key, bool fallback) {
+  declared_.push_back(key);
+  if (!cli_.has(key)) return fallback;
+  const ParsedBool p = parse_bool(cli_.get_string(key, ""));
+  if (!p.ok) fail(key + ": " + p.error);
+  return p.ok ? p.value : fallback;
+}
+
+bool Args::finish() {
+  for (const auto& kv : cli_.values()) {
+    if (std::find(declared_.begin(), declared_.end(), kv.first) ==
+        declared_.end()) {
+      fail(kv.first + ": unknown key");
+    }
+  }
+  for (const std::string& e : errors_) {
+    std::fprintf(stderr, "error: %s\n", e.c_str());
+  }
+  return errors_.empty();
 }
 
 }  // namespace hmcc::desc

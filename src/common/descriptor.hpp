@@ -13,11 +13,12 @@
 //    per-component project.
 //
 //  * Knob<Target> / KnobMeta — a config knob declares its key, type,
-//    default, bounds, help, and how to apply/read a CLI string.
-//    system::overlay_config() parses generically from the table (with
-//    per-knob validation errors), the typo warnings read its key column,
-//    and round-trip tests walk it. The parser and the metadata can never
-//    drift: there is only one table.
+//    default, bounds, help, and how to apply/read a CLI string. overlay()
+//    is the one loop that applies a table (with per-knob validation
+//    errors); Args, the command line every binary reads, applies the
+//    platform and workload tables through it and rejects any key no table
+//    or program read declares. The parser and the metadata can never
+//    drift: there is only one table per target.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.hpp"
 #include "obs/metrics.hpp"
 
 namespace hmcc::desc {
@@ -111,7 +113,8 @@ enum class KnobKind : std::uint8_t { kUInt, kBool, kEnum, kString };
 /// assignment without reading header comments (kind, bounds, choices).
 struct KnobMeta {
   std::string key;    ///< the key= spelling, e.g. "vaults"
-  std::string scope;  ///< "bench" (harness) or "platform" (SystemConfig)
+  std::string scope;  ///< "workload" (WorkloadParams) or "platform"
+                      ///< (SystemConfig)
   std::string help;   ///< one-line description
   KnobKind kind = KnobKind::kUInt;
   std::string default_value;        ///< canonical CLI spelling of the default
@@ -245,13 +248,20 @@ Knob<Target> enum_knob(std::string key, std::string scope, std::string help,
   return k;
 }
 
-/// Project a knob table to its key column (for typo warnings).
+/// Apply every knob of @p knobs that @p cli sets, in table order, appending
+/// one "key: problem" line to @p errors per rejected value; valid knobs
+/// still apply when others fail. The one loop that applies a knob table.
+/// An empty enum value (mode=, pipeline=) keeps the current setting.
 template <typename Target>
-std::vector<std::string> knob_keys(const std::vector<Knob<Target>>& knobs) {
-  std::vector<std::string> out;
-  out.reserve(knobs.size());
-  for (const Knob<Target>& k : knobs) out.push_back(k.meta.key);
-  return out;
+void overlay(const std::vector<Knob<Target>>& knobs, const Config& cli,
+             Target& target, std::vector<std::string>& errors) {
+  for (const Knob<Target>& k : knobs) {
+    const auto it = cli.values().find(k.meta.key);
+    if (it == cli.values().end()) continue;
+    if (k.meta.kind == KnobKind::kEnum && it->second.empty()) continue;
+    std::string err = k.apply(target, it->second);
+    if (!err.empty()) errors.push_back(k.meta.key + ": " + std::move(err));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +292,57 @@ bool check_constraints(const std::vector<Constraint<Target>>& constraints,
   }
   return errors.size() == before;
 }
+
+// ---------------------------------------------------------------------------
+// Command lines
+// ---------------------------------------------------------------------------
+
+/// A program's key=value command line, read once. The constructor runs
+/// Config::parse_args; each read below declares the key(s) it consumes.
+/// finish() then rejects every key nothing declared and prints each problem
+/// as "error: <key>: <problem>", so a token with no '=', an unknown key, a
+/// rejected value and a broken constraint all end the same way: the
+/// program exits 2 before it simulates anything.
+class Args {
+ public:
+  Args(int argc, const char* const* argv);
+
+  [[nodiscard]] const Config& config() const noexcept { return cli_; }
+
+  /// Declare @p knobs' keys, for a caller that applies the table itself
+  /// (system::platform_from adds the platform's mode and constraints).
+  template <typename Target>
+  void declare(const std::vector<Knob<Target>>& knobs) {
+    for (const Knob<Target>& k : knobs) declared_.push_back(k.meta.key);
+  }
+
+  /// overlay() @p knobs onto @p target and declare their keys.
+  template <typename Target>
+  void overlay(const std::vector<Knob<Target>>& knobs, Target& target) {
+    declare(knobs);
+    desc::overlay(knobs, cli_, target, errors_);
+  }
+
+  /// The program's own keys; @p fallback when absent.
+  [[nodiscard]] std::string text(const std::string& key,
+                                 const std::string& fallback);
+  [[nodiscard]] std::uint64_t uint(const std::string& key,
+                                   std::uint64_t fallback, std::uint64_t min,
+                                   std::uint64_t max);
+  [[nodiscard]] bool flag(const std::string& key, bool fallback);
+
+  /// Record a problem the program found itself, phrased "key: problem".
+  void fail(std::string problem) { errors_.push_back(std::move(problem)); }
+
+  /// Reject every undeclared key, print every problem on stderr, and
+  /// return true when there was none.
+  [[nodiscard]] bool finish();
+
+ private:
+  Config cli_;
+  std::vector<std::string> declared_;
+  std::vector<std::string> errors_;
+};
 
 // ---------------------------------------------------------------------------
 // Bench metadata

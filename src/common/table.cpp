@@ -1,7 +1,6 @@
 #include "common/table.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace hmcc {
@@ -76,13 +75,6 @@ std::string Table::to_csv() const {
     os << '\n';
   }
   return os.str();
-}
-
-bool Table::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_csv();
-  return static_cast<bool>(out);
 }
 
 }  // namespace hmcc

@@ -22,10 +22,9 @@ class Table {
   static std::string pct(double fraction, int precision = 2);
 
   [[nodiscard]] std::string to_ascii() const;
+  /// The same rows as CSV; write it with write_file_atomic
+  /// (common/file_io.hpp).
   [[nodiscard]] std::string to_csv() const;
-
-  /// Write CSV to @p path; returns false on I/O failure.
-  bool write_csv(const std::string& path) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 

@@ -85,28 +85,4 @@ std::string TraceWriter::to_json() const {
   return out;
 }
 
-bool TraceWriter::write_json(const std::string& path) const {
-  const std::string doc = to_json();
-  // Per-writer temp name: concurrent sweep points sharing one trace path
-  // must not interleave writes inside a single temp file; each rename then
-  // publishes a complete document and the last finisher wins.
-  const std::string tmp =
-      path + ".tmp." +
-      std::to_string(reinterpret_cast<std::uintptr_t>(this));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace hmcc::obs

@@ -10,9 +10,10 @@
 // Timestamps are nanoseconds of simulated time (cycles x kNsPerCycle), so
 // a trace lines up with the paper's latency numbers, not host wall-clock.
 //
-// write_json() writes atomically (temp file + rename): several Systems
-// sweeping concurrently with the same trace path race benignly — the last
-// finisher wins and the file always parses.
+// System::run writes to_json() through write_file_atomic
+// (common/file_io.hpp): several Systems sweeping concurrently with the same
+// trace path race benignly — the last finisher wins and the file always
+// parses.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +49,6 @@ class TraceWriter {
 
   /// The complete trace document ({"displayTimeUnit", "traceEvents", ...}).
   [[nodiscard]] std::string to_json() const;
-
-  /// Serialize to @p path via temp file + rename. Returns false (and leaves
-  /// no partial file behind) on I/O failure.
-  bool write_json(const std::string& path) const;
 
  private:
   /// Append the rendered event if capacity remains; count it as dropped

@@ -473,18 +473,8 @@ const std::vector<desc::Constraint<SystemConfig>>& platform_constraints() {
 bool overlay_config(const Config& cli, SystemConfig& cfg,
                     std::vector<std::string>& errors) {
   const std::size_t before = errors.size();
-  for (const Knob<SystemConfig>& k : platform_knobs()) {
-    if (!cli.has(k.meta.key)) continue;
-    const std::string raw = cli.get_string(k.meta.key, "");
-    // Historical convenience: an empty enum value (mode=, pipeline=) keeps
-    // the current setting instead of failing validation.
-    if (k.meta.kind == desc::KnobKind::kEnum && raw.empty()) continue;
-    const std::string err = k.apply(cfg, raw);
-    if (!err.empty()) errors.push_back(k.meta.key + ": " + err);
-  }
-
+  desc::overlay(platform_knobs(), cli, cfg, errors);
   apply_mode(cfg, cfg.mode);
-
   desc::check_constraints(platform_constraints(), cfg, errors);
   return errors.size() == before;
 }
@@ -503,10 +493,13 @@ SystemConfig config_from_cli(const Config& cli) {
   return cfg;
 }
 
-const std::vector<std::string>& platform_cli_keys() {
-  static const std::vector<std::string> keys =
-      desc::knob_keys(platform_knobs());
-  return keys;
+SystemConfig platform_from(desc::Args& args) {
+  args.declare(platform_knobs());
+  SystemConfig cfg = paper_system_config();
+  std::vector<std::string> errors;
+  overlay_config(args.config(), cfg, errors);
+  for (std::string& e : errors) args.fail(std::move(e));
+  return cfg;
 }
 
 }  // namespace hmcc::system

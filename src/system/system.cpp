@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/bits.hpp"
+#include "common/file_io.hpp"
 
 namespace hmcc::system {
 
@@ -234,7 +236,10 @@ SystemReport System::run(const trace::MultiTrace& mtrace) {
   rep.llc_cache = hierarchy_.llc().stats();
 
   if (metrics_) publish_metrics(*metrics_);
-  if (trace_) trace_->write_json(cfg_.obs.trace_json);
+  if (trace_) {
+    std::string err = write_file_atomic(cfg_.obs.trace_json, trace_->to_json());
+    if (!err.empty()) throw std::runtime_error(std::move(err));
+  }
   return rep;
 }
 

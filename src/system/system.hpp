@@ -77,6 +77,8 @@ class System {
 
   /// Replay @p mtrace to completion and return the report. One-shot: build
   /// a fresh System for every run.
+  /// @throws std::runtime_error "<path>: <reason>" when the chrome trace
+  /// (cfg.obs.trace_json) cannot be written.
   SystemReport run(const trace::MultiTrace& mtrace);
 
   [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }

@@ -1,9 +1,10 @@
 #include "trace/codec.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <memory>
+#include <fstream>
+#include <string_view>
+
+#include "common/file_io.hpp"
 
 namespace hmcc::trace {
 
@@ -63,63 +64,20 @@ std::int64_t unzigzag(std::uint64_t v) {
 
 /// Bounds-checked cursor over the input; every read reports a named
 /// failure instead of walking off the end.
-///
-/// Two modes share every decode path:
-///  * memory — `data/size` span the whole buffer (zero-copy, the
-///    historical behavior of decode());
-///  * streaming — `data/size` span a refillable window over `file`, and
-///    `file_left` counts the bytes beyond it. remaining() includes those
-///    unread bytes, so the absurd-count and reserve bounds behave exactly
-///    as if the file had been slurped — a corpus larger than memory only
-///    ever occupies one `chunk`-sized window of input at a time.
 struct Reader {
   const std::uint8_t* data = nullptr;
   std::size_t size = 0;
   std::size_t pos = 0;
 
-  std::FILE* file = nullptr;      ///< non-null = streaming mode
-  std::uint64_t file_left = 0;    ///< unread bytes beyond the window
-  std::size_t chunk = 1u << 16;   ///< refill granularity
-  std::vector<std::uint8_t> buf;  ///< the window (streaming mode only)
-  bool io_error = false;          ///< fread came up short of file_left
-
-  [[nodiscard]] std::size_t remaining() const {
-    return (size - pos) + static_cast<std::size_t>(file_left);
-  }
-
-  /// Make at least @p n contiguous bytes available at pos, refilling the
-  /// window from the file when streaming. False = the input is exhausted
-  /// (or the underlying read failed — see io_error).
-  [[nodiscard]] bool ensure(std::size_t n) {
-    if (size - pos >= n) return true;
-    if (file == nullptr || io_error) return false;
-    const std::size_t left = size - pos;
-    if (left != 0 && pos != 0) std::memmove(buf.data(), buf.data() + pos, left);
-    const std::size_t want_extra = std::max(chunk, n) - left;
-    const auto to_read = static_cast<std::size_t>(
-        std::min<std::uint64_t>(want_extra, file_left));
-    buf.resize(left + to_read);
-    if (to_read != 0) {
-      const std::size_t got = std::fread(buf.data() + left, 1, to_read, file);
-      if (got != to_read) {
-        io_error = true;
-        buf.resize(left + got);
-      }
-      file_left -= got;
-    }
-    data = buf.data();
-    size = buf.size();
-    pos = 0;
-    return !io_error && size >= n;
-  }
+  [[nodiscard]] std::size_t remaining() const { return size - pos; }
 
   [[nodiscard]] bool u8(std::uint8_t& v) {
-    if (!ensure(1)) return false;
+    if (remaining() < 1) return false;
     v = data[pos++];
     return true;
   }
   [[nodiscard]] bool u32(std::uint32_t& v) {
-    if (!ensure(4)) return false;
+    if (remaining() < 4) return false;
     v = 0;
     for (int i = 0; i < 4; ++i) {
       v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
@@ -129,7 +87,7 @@ struct Reader {
   [[nodiscard]] CodecStatus varint(std::uint64_t& v) {
     v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
-      if (!ensure(1)) return CodecStatus::kTruncated;
+      if (remaining() < 1) return CodecStatus::kTruncated;
       const std::uint8_t b = data[pos++];
       const std::uint64_t payload = b & 0x7F;
       if (shift == 63 && payload > 1) return CodecStatus::kVarintOverflow;
@@ -289,17 +247,16 @@ std::vector<std::uint8_t> encode(const MultiTrace& trace) {
   return out;
 }
 
-namespace {
-
-/// Header check shared by the memory and streaming entry points: the
-/// Reader abstracts where bytes come from, so both paths run the exact
-/// same validation with the exact same failure strings.
-CodecResult decode_reader(Reader& r, MultiTrace& out) {
+CodecResult decode(const std::uint8_t* data, std::size_t size,
+                   MultiTrace& out) {
   out.per_core.clear();
+  Reader r{data, size, 0};
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   if (!r.u32(magic)) return fail(CodecStatus::kTruncated, "magic");
-  if (magic != kHmctMagic) return fail(CodecStatus::kBadMagic, "not an .hmct file");
+  if (magic != kHmctMagic) {
+    return fail(CodecStatus::kBadMagic, "not an .hmct file");
+  }
   if (!r.u32(version)) return fail(CodecStatus::kTruncated, "version");
   if (version != kHmctVersion) {
     return fail(CodecStatus::kBadVersion, "version " + std::to_string(version));
@@ -309,78 +266,31 @@ CodecResult decode_reader(Reader& r, MultiTrace& out) {
   return res;
 }
 
-}  // namespace
-
-CodecResult decode(const std::uint8_t* data, std::size_t size,
-                   MultiTrace& out) {
-  Reader r;
-  r.data = data;
-  r.size = size;
-  return decode_reader(r, out);
-}
-
 CodecResult decode(const std::vector<std::uint8_t>& bytes, MultiTrace& out) {
   return decode(bytes.data(), bytes.size(), out);
 }
 
-namespace {
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-}  // namespace
-
 CodecResult write_file(const MultiTrace& trace, const std::string& path) {
   const std::vector<std::uint8_t> bytes = encode(trace);
-  const std::string tmp = path + ".tmp";
-  {
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) return fail(CodecStatus::kIoError, "cannot open " + tmp);
-    if (!bytes.empty() &&
-        std::fwrite(bytes.data(), 1, bytes.size(), f.get()) != bytes.size()) {
-      return fail(CodecStatus::kIoError, "short write to " + tmp);
-    }
-    if (std::fflush(f.get()) != 0) {
-      return fail(CodecStatus::kIoError, "flush failed for " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail(CodecStatus::kIoError, "rename to " + path + " failed");
-  }
+  std::string err = write_file_atomic(
+      path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size()));
+  if (!err.empty()) return fail(CodecStatus::kIoError, std::move(err));
   return {};
 }
 
 CodecResult read_file(MultiTrace& out, const std::string& path) {
-  return read_file(out, path, kReadChunkBytes);
-}
-
-CodecResult read_file(MultiTrace& out, const std::string& path,
-                      std::size_t chunk_bytes) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return fail(CodecStatus::kIoError, "cannot open " + path);
-  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
-    return fail(CodecStatus::kIoError, "seek failed for " + path);
+  out.per_core.clear();
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return fail(CodecStatus::kIoError, path + ": cannot open");
+  const std::streamoff end = in.tellg();
+  if (end < 0) return fail(CodecStatus::kIoError, path + ": cannot size");
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(end));
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), end)) {
+    return fail(CodecStatus::kIoError, path + ": short read");
   }
-  const long end = std::ftell(f.get());
-  if (end < 0) return fail(CodecStatus::kIoError, "tell failed for " + path);
-  std::rewind(f.get());
-  // Stream the file through a bounded window instead of slurping it: the
-  // decoder only ever holds `chunk_bytes` of raw input, so a corpus file
-  // bigger than memory decodes with the same validation (remaining()
-  // counts the unread tail, keeping every bound byte-identical).
-  Reader r;
-  r.file = f.get();
-  r.file_left = static_cast<std::uint64_t>(end);
-  r.chunk = std::max<std::size_t>(chunk_bytes, 16);
-  CodecResult res = decode_reader(r, out);
-  if (r.io_error) {
-    out.per_core.clear();
-    return fail(CodecStatus::kIoError, "short read from " + path);
-  }
-  return res;
+  return decode(bytes, out);
 }
 
 }  // namespace hmcc::trace

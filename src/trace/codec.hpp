@@ -86,18 +86,14 @@ struct CodecResult {
 [[nodiscard]] CodecResult decode(const std::vector<std::uint8_t>& bytes,
                                  MultiTrace& out);
 
-/// File wrappers. Writing is atomic: the bytes land in `path + ".tmp"` and
-/// are renamed into place, so a crashed or concurrent run never leaves a
-/// half-written corpus file behind. Reading streams the file through a
-/// bounded window (kReadChunkBytes by default) rather than slurping it,
-/// so only the decoded records — never the raw file — are resident at
-/// once; the chunked overload exists so tests can force refills across
-/// every group boundary.
-inline constexpr std::size_t kReadChunkBytes = 64 * 1024;
+/// File wrappers. Writing goes through write_file_atomic
+/// (common/file_io.hpp): a crashed or concurrent run never leaves a
+/// half-written corpus file behind, and a failed write reports the path
+/// and the reason in the kIoError detail. Reading loads the file into one
+/// buffer and decode()s it, so a file reports exactly the status and
+/// detail its bytes would.
 [[nodiscard]] CodecResult write_file(const MultiTrace& trace,
                                      const std::string& path);
 [[nodiscard]] CodecResult read_file(MultiTrace& out, const std::string& path);
-[[nodiscard]] CodecResult read_file(MultiTrace& out, const std::string& path,
-                                    std::size_t chunk_bytes);
 
 }  // namespace hmcc::trace

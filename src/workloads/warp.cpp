@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <stdexcept>
 #include <utility>
 
 #include "workloads/generators.hpp"
@@ -270,63 +269,5 @@ std::unique_ptr<Workload> make_warp_chase() {
 }
 
 }  // namespace detail
-
-const std::vector<desc::Knob<WarpParams>>& warp_knobs() {
-  static const std::vector<desc::Knob<WarpParams>> table = [] {
-    using desc::uint_knob;
-    std::vector<desc::Knob<WarpParams>> t;
-    t.push_back(uint_knob<WarpParams>(
-        "warps", "bench", "resident warps per core in the warp_* workloads",
-        1, 1024,
-        [](const WarpParams& w) { return std::uint64_t{w.warps}; },
-        [](WarpParams& w, std::uint64_t v) {
-          w.warps = static_cast<std::uint32_t>(v);
-        }));
-    t.push_back(uint_knob<WarpParams>(
-        "warp_width", "bench", "threads per warp (lane-vector length)",
-        1, 4096,
-        [](const WarpParams& w) { return std::uint64_t{w.warp_width}; },
-        [](WarpParams& w, std::uint64_t v) {
-          w.warp_width = static_cast<std::uint32_t>(v);
-        }));
-    t.push_back(uint_knob<WarpParams>(
-        "lanes", "bench",
-        "SIMD issue width; a vector op takes ceil(warp_width/lanes) beats",
-        1, 4096,
-        [](const WarpParams& w) { return std::uint64_t{w.lanes}; },
-        [](WarpParams& w, std::uint64_t v) {
-          w.lanes = static_cast<std::uint32_t>(v);
-        }));
-    t.push_back(uint_knob<WarpParams>(
-        "max_outstanding_warps", "bench",
-        "warps concurrently suspended on memory (per-core MLP bound)",
-        1, 1024,
-        [](const WarpParams& w) {
-          return std::uint64_t{w.max_outstanding_warps};
-        },
-        [](WarpParams& w, std::uint64_t v) {
-          w.max_outstanding_warps = static_cast<std::uint32_t>(v);
-        }));
-    const WarpParams defaults;
-    t[0].meta.default_value = std::to_string(defaults.warps);
-    t[1].meta.default_value = std::to_string(defaults.warp_width);
-    t[2].meta.default_value = std::to_string(defaults.lanes);
-    t[3].meta.default_value = std::to_string(defaults.max_outstanding_warps);
-    return t;
-  }();
-  return table;
-}
-
-WarpParams warp_params_from_cli(const Config& cli) {
-  WarpParams w;
-  for (const desc::Knob<WarpParams>& k : warp_knobs()) {
-    if (!cli.has(k.meta.key)) continue;
-    const std::string err = k.apply(w, cli.get_string(k.meta.key, ""));
-    if (!err.empty()) {
-      throw std::invalid_argument(k.meta.key + ": " + err);
-    }
-  }
-  return w;
-}
 
 }  // namespace hmcc::workloads

@@ -23,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
-#include "common/descriptor.hpp"
 #include "workloads/workload.hpp"
 
 namespace hmcc::workloads {
@@ -45,16 +43,6 @@ struct WarpRun {
 /// unit tests; the generators call it per vector instruction.
 [[nodiscard]] std::vector<WarpRun> coalesce_warp_vector(
     const std::vector<Addr>& lane_addrs, std::uint32_t access_bytes);
-
-/// Declarative knob table for WarpParams: warps= warp_width= lanes=
-/// max_outstanding_warps= (bench scope). bench_knobs() wraps these onto
-/// BenchEnv so the suite's parser and typo warnings pick them up
-/// automatically; the workbench applies them via warp_params_from_cli().
-[[nodiscard]] const std::vector<desc::Knob<WarpParams>>& warp_knobs();
-
-/// Apply any warp knobs present in @p cli over the defaults. Throws
-/// std::invalid_argument naming the knob on a malformed value.
-[[nodiscard]] WarpParams warp_params_from_cli(const Config& cli);
 
 namespace detail {
 std::unique_ptr<Workload> make_warp_gups();   // gather/update, divergent

@@ -34,4 +34,51 @@ std::unique_ptr<Workload> make_workload(const std::string& name) {
   return nullptr;
 }
 
+const std::vector<desc::Knob<WorkloadParams>>& workload_knobs() {
+  static const std::vector<desc::Knob<WorkloadParams>> table = [] {
+    using desc::uint_knob;
+    using P = WorkloadParams;
+    std::vector<desc::Knob<P>> t;
+    t.push_back(uint_knob<P>(
+        "accesses", "workload",
+        "CPU accesses per core (each program sets its own default)", 1, ~0ULL,
+        [](const P& p) { return p.accesses_per_core; },
+        [](P& p, std::uint64_t v) { p.accesses_per_core = v; }));
+    t.push_back(uint_knob<P>(
+        "seed", "workload", "workload RNG seed", 0, ~0ULL,
+        [](const P& p) { return p.seed; },
+        [](P& p, std::uint64_t v) { p.seed = v; }));
+    t.push_back(uint_knob<P>(
+        "warps", "workload", "resident warps per core in the warp_* workloads",
+        1, 1024, [](const P& p) { return std::uint64_t{p.warp.warps}; },
+        [](P& p, std::uint64_t v) {
+          p.warp.warps = static_cast<std::uint32_t>(v);
+        }));
+    t.push_back(uint_knob<P>(
+        "warp_width", "workload", "threads per warp (lane-vector length)", 1,
+        4096, [](const P& p) { return std::uint64_t{p.warp.warp_width}; },
+        [](P& p, std::uint64_t v) {
+          p.warp.warp_width = static_cast<std::uint32_t>(v);
+        }));
+    t.push_back(uint_knob<P>(
+        "lanes", "workload",
+        "SIMD issue width; a vector op takes ceil(warp_width/lanes) beats", 1,
+        4096, [](const P& p) { return std::uint64_t{p.warp.lanes}; },
+        [](P& p, std::uint64_t v) {
+          p.warp.lanes = static_cast<std::uint32_t>(v);
+        }));
+    t.push_back(uint_knob<P>(
+        "max_outstanding_warps", "workload",
+        "warps concurrently suspended on memory (per-core MLP bound)", 1, 1024,
+        [](const P& p) { return std::uint64_t{p.warp.max_outstanding_warps}; },
+        [](P& p, std::uint64_t v) {
+          p.warp.max_outstanding_warps = static_cast<std::uint32_t>(v);
+        }));
+    const P defaults;
+    for (desc::Knob<P>& k : t) k.meta.default_value = k.read(defaults);
+    return t;
+  }();
+  return table;
+}
+
 }  // namespace hmcc::workloads

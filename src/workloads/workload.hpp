@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/descriptor.hpp"
 #include "common/rng.hpp"
 #include "trace/trace.hpp"
 
@@ -66,5 +67,11 @@ class Workload {
 
 /// Factory; returns nullptr for unknown names.
 [[nodiscard]] std::unique_ptr<Workload> make_workload(const std::string& name);
+
+/// The workload knob table, applied by every binary that generates a
+/// workload: accesses= seed= and the warp front-end's warps= warp_width=
+/// lanes= max_outstanding_warps=. Each program sets its own accesses=
+/// default before the overlay.
+[[nodiscard]] const std::vector<desc::Knob<WorkloadParams>>& workload_knobs();
 
 }  // namespace hmcc::workloads

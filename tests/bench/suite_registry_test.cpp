@@ -38,8 +38,8 @@ TEST(SuiteRegistry, NamesAreUniqueAndLookupWorks) {
 }
 
 TEST(SuiteRegistry, EveryBenchIsFullyPopulated) {
-  Config cli;
-  cli.set("accesses", "100");
+  BenchEnv env{system::paper_system_config(), {}, {}};
+  env.params.accesses_per_core = 100;
   for (const SuiteBench& b : suite_benches()) {
     SCOPED_TRACE(b.meta.name);
     EXPECT_FALSE(b.meta.title.empty());
@@ -49,22 +49,21 @@ TEST(SuiteRegistry, EveryBenchIsFullyPopulated) {
     ASSERT_TRUE(static_cast<bool>(b.tasks));
     // A non-empty task list is what lets the suite scheduler spread the
     // bench's work over the pool at all.
-    const BenchEnv env = make_env(cli, b.meta.name.c_str(), b.meta.default_accesses);
     EXPECT_FALSE(b.tasks(env).empty());
   }
 }
 
 TEST(SuiteRegistry, KnobMetadataCoversEveryAcceptedKey) {
-  // Every key the two parsers accept (make_env() and overlay_config() parse
-  // from these tables) carries what a valid assignment needs: a kind with
-  // consistent bounds or choices, a scope and a help line.
+  // Every table key bench_suite accepts (desc::Args applies both tables)
+  // carries what a valid assignment needs: a kind with consistent bounds or
+  // choices, a scope and a help line.
   std::set<std::string> seen;
   auto walk = [&seen](const auto& knobs) {
     for (const auto& knob : knobs) {
       const desc::KnobMeta& m = knob.meta;
       SCOPED_TRACE(m.key);
       EXPECT_TRUE(seen.insert(m.key).second) << "duplicate knob";
-      EXPECT_TRUE(m.scope == "bench" || m.scope == "platform") << m.scope;
+      EXPECT_TRUE(m.scope == "workload" || m.scope == "platform") << m.scope;
       EXPECT_FALSE(m.help.empty());
       switch (m.kind) {
         case desc::KnobKind::kUInt:
@@ -82,7 +81,7 @@ TEST(SuiteRegistry, KnobMetadataCoversEveryAcceptedKey) {
       }
     }
   };
-  walk(bench_knobs());
+  walk(workloads::workload_knobs());
   walk(system::platform_knobs());
 }
 
@@ -284,6 +283,25 @@ TEST(SuiteRegistry, AblationJsonLandsBesideTheCsv) {
   EXPECT_EQ(body.str().rfind("{\"bench\": \"ablation_hybrid\"", 0), 0u);
   EXPECT_FALSE(std::filesystem::exists(dir / "BENCH_hybrid.json.tmp"));
   std::filesystem::remove_all(dir);
+}
+
+TEST(SuiteRegistry, FailedCsvWriteFailsTheBench) {
+  // The table still prints; the unwritten CSV is a named error and a failed
+  // bench, not a silently dropped "(rows written ...)" note.
+  const std::string dir =
+      (std::filesystem::path(testing::TempDir()) / "hmcc_no_such_dir")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::string out;
+  testing::internal::CaptureStderr();
+  const int rc = run_suite_captured({"only=fig01", "csvdir=" + dir}, out);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(err.find("error: " + dir + "/fig01.csv: No such file or directory"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(out.find("rows written"), std::string::npos) << out;
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(SuiteRegistry, MalformedThreadsOrNocsvFailsBeforeAnyBenchRuns) {

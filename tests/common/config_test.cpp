@@ -22,12 +22,8 @@ TEST(Config, TypedGetters) {
   Config c;
   c.set("u", "0x10");
   c.set("d", "2.5");
-  c.set("b1", "true");
-  c.set("b0", "off");
   EXPECT_EQ(c.get_uint("u", 0), 16u);
   EXPECT_DOUBLE_EQ(c.get_double("d", 0), 2.5);
-  EXPECT_TRUE(c.get_bool("b1", false));
-  EXPECT_FALSE(c.get_bool("b0", true));
 }
 
 TEST(Config, FallbacksOnMissingOrMalformed) {
@@ -36,7 +32,6 @@ TEST(Config, FallbacksOnMissingOrMalformed) {
   EXPECT_EQ(c.get_uint("junk", 7), 7u);
   EXPECT_EQ(c.get_uint("missing", 9), 9u);
   EXPECT_DOUBLE_EQ(c.get_double("missing", 1.5), 1.5);
-  EXPECT_TRUE(c.get_bool("junk", true));
 }
 
 TEST(Config, ParseArgs) {

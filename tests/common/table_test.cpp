@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.hpp"
+
 namespace hmcc {
 namespace {
 
@@ -39,7 +41,7 @@ TEST(Table, WriteCsvRoundTrip) {
   Table t({"k"});
   t.add_row({"v"});
   const std::string path = ::testing::TempDir() + "/hmcc_table_test.csv";
-  ASSERT_TRUE(t.write_csv(path));
+  ASSERT_EQ(write_file_atomic(path, t.to_csv()), "");
   FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
   char buf[64] = {};

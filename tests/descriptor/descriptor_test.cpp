@@ -1,6 +1,6 @@
 // The declarative descriptor layer: strict scalar parsing, StatSet
-// publish/sample semantics, and the two knob tables (platform + bench) that
-// feed overlay_config() and make_env().
+// publish/sample semantics, the two knob tables (platform + workload) and
+// desc::Args, the command line every binary reads through them.
 //
 // The load-bearing properties:
 //  * every knob's advertised default round-trips through its own
@@ -13,11 +13,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/descriptor.hpp"
 #include "obs/metrics.hpp"
 #include "system/config_bridge.hpp"
 #include "system/runner.hpp"
+#include "workloads/workload.hpp"
 
 namespace hmcc {
 namespace {
@@ -238,12 +238,9 @@ TEST(PlatformKnobs, ConfigFromCliThrowsWithEveryProblemListed) {
 }
 
 TEST(PlatformKnobs, MetadataMatchesKeysAndCarriesDefaults) {
-  const auto& knobs = system::platform_knobs();
-  const auto& keys = system::platform_cli_keys();
-  ASSERT_EQ(knobs.size(), keys.size());
-  for (std::size_t i = 0; i < knobs.size(); ++i) {
-    const desc::KnobMeta& meta = knobs[i].meta;
-    EXPECT_EQ(meta.key, keys[i]);
+  for (const auto& knob : system::platform_knobs()) {
+    const desc::KnobMeta& meta = knob.meta;
+    EXPECT_FALSE(meta.key.empty());
     EXPECT_EQ(meta.scope, "platform");
     EXPECT_FALSE(meta.help.empty()) << meta.key;
     if (meta.kind != desc::KnobKind::kString) {
@@ -252,58 +249,101 @@ TEST(PlatformKnobs, MetadataMatchesKeysAndCarriesDefaults) {
   }
 }
 
-// --- Bench knob table ------------------------------------------------------
+// --- Workload knob table ---------------------------------------------------
 
 TEST(BenchKnobs, TableCoversTheHistoricalKeys) {
+  std::vector<std::string> keys;
+  for (const auto& k : workloads::workload_knobs()) keys.push_back(k.meta.key);
   const std::vector<std::string> expected = {
-      "accesses", "seed",  "csv",
-      "warps",    "warp_width", "lanes", "max_outstanding_warps"};
-  EXPECT_EQ(bench::bench_cli_keys(), expected);
+      "accesses", "seed", "warps", "warp_width", "lanes",
+      "max_outstanding_warps"};
+  EXPECT_EQ(keys, expected);
 }
 
-TEST(BenchKnobs, MakeEnvAppliesOverridesAndKeepsDefaultsOnErrors) {
-  Config cli;
-  cli.set("accesses", "1234");
-  cli.set("seed", "notanumber");  // rejected -> default kept (+ warning)
-  const bench::BenchEnv env = bench::make_env(cli, "figXX", 500);
-  EXPECT_EQ(env.params.accesses_per_core, 1234u);
-  EXPECT_EQ(env.params.seed, 1u);
-  EXPECT_EQ(env.csv_path, "figXX.csv");
+TEST(BenchKnobs, RejectsBadValuesInsteadOfKeepingDefaults) {
+  const char* argv[] = {"prog", "accesses=1234", "seed=notanumber"};
+  desc::Args args(3, argv);
+  workloads::WorkloadParams p;
+  args.overlay(workloads::workload_knobs(), p);
+  EXPECT_EQ(p.accesses_per_core, 1234u);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(args.finish());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: seed: 'notanumber' is not an unsigned integer\n");
+}
+
+// --- Command lines ---------------------------------------------------------
+
+TEST(DescriptorArgs, EveryProblemIsOneKeyedError) {
+  const char* argv[] = {"prog",         "thread8",     "=x",
+                        "threads=abc",  "nocsv=maybe", "bogus=1",
+                        "window=32",    "only=fig01"};
+  desc::Args args(8, argv);
+  (void)system::platform_from(args);
+  EXPECT_EQ(args.uint("threads", 4, 0, 256), 4u);
+  EXPECT_FALSE(args.flag("nocsv", false));
+  EXPECT_EQ(args.text("only", ""), "fig01");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(args.finish());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: thread8: expected key=value\n"
+            "error: =x: expected key=value\n"
+            "error: window: must not exceed the CRQ capacity (llc_mshrs = "
+            "16)\n"
+            "error: threads: 'abc' is not an unsigned integer\n"
+            "error: nocsv: 'maybe' is not a boolean (use 1/true/yes/on or "
+            "0/false/no/off)\n"
+            "error: bogus: unknown key\n");
+}
+
+TEST(DescriptorArgs, DeclaredKeysPassSilently) {
+  const char* argv[] = {"prog", "llc_mshrs=8", "window=8", "warps=4",
+                        "threads=2", "nocsv=on", "csvdir=out"};
+  desc::Args args(7, argv);
+  const system::SystemConfig cfg = system::platform_from(args);
+  workloads::WorkloadParams p;
+  args.overlay(workloads::workload_knobs(), p);
+  EXPECT_EQ(args.uint("threads", 0, 0, 256), 2u);
+  EXPECT_TRUE(args.flag("nocsv", false));
+  EXPECT_EQ(args.text("csvdir", ""), "out");
+  EXPECT_EQ(args.text("only", "all"), "all");
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(args.finish());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(cfg.coalescer.window, 8u);
+  EXPECT_EQ(cfg.coalescer.num_mshrs, 8u);
+  EXPECT_EQ(p.warp.warps, 4u);
 }
 
 // --- Knob metadata ---------------------------------------------------------
 
-// True when the bench or platform table declares @p key in @p scope.
+// True when the workload or platform table declares @p key in @p scope.
 bool declares(const char* key, const char* scope) {
   auto in = [&](const auto& knobs) {
     return std::any_of(knobs.begin(), knobs.end(), [&](const auto& k) {
       return k.meta.key == key && k.meta.scope == scope;
     });
   };
-  return in(bench::bench_knobs()) || in(system::platform_knobs());
+  return in(workloads::workload_knobs()) || in(system::platform_knobs());
 }
 
 TEST(KnobMetadataJson, IsGeneratedFromBothTables) {
-  // The keys make_env() accepts are the bench table's key column, in table
-  // order, all in bench scope; the platform side is checked above against
-  // platform_cli_keys(). No key is declared by both tables.
-  const auto& bench_meta = bench::bench_knobs();
-  const auto& bench_keys = bench::bench_cli_keys();
-  ASSERT_EQ(bench_meta.size(), bench_keys.size());
-  for (std::size_t i = 0; i < bench_meta.size(); ++i) {
-    EXPECT_EQ(bench_meta[i].meta.key, bench_keys[i]);
-    EXPECT_EQ(bench_meta[i].meta.scope, "bench");
-    EXPECT_FALSE(declares(bench_keys[i].c_str(), "platform")) << bench_keys[i];
+  // Every workload key is in workload scope and no key is declared by both
+  // tables: desc::Args would apply it twice.
+  for (const auto& k : workloads::workload_knobs()) {
+    EXPECT_EQ(k.meta.scope, "workload") << k.meta.key;
+    EXPECT_FALSE(declares(k.meta.key.c_str(), "platform")) << k.meta.key;
   }
 }
 
 TEST(KnobMetadataJson, AdvertisesWarpAndTraceIoKnobs) {
-  // bench_suite can shape the warp front-end and replay shipped .hmct
-  // corpora; the knob tables must declare all six knobs.
-  EXPECT_TRUE(declares("warps", "bench"));
-  EXPECT_TRUE(declares("warp_width", "bench"));
-  EXPECT_TRUE(declares("lanes", "bench"));
-  EXPECT_TRUE(declares("max_outstanding_warps", "bench"));
+  // Every binary that generates a workload can shape the warp front-end and
+  // replay shipped .hmct corpora; the knob tables must declare all six
+  // knobs.
+  EXPECT_TRUE(declares("warps", "workload"));
+  EXPECT_TRUE(declares("warp_width", "workload"));
+  EXPECT_TRUE(declares("lanes", "workload"));
+  EXPECT_TRUE(declares("max_outstanding_warps", "workload"));
   EXPECT_TRUE(declares("trace_record", "platform"));
   EXPECT_TRUE(declares("trace_replay", "platform"));
 }

@@ -1,6 +1,7 @@
-// TraceWriter: chrome://tracing event shapes, the drop cap, atomic file
-// publication, and that the emitted document actually parses as JSON (via
-// the test-side parser in tests/support/json.hpp).
+// TraceWriter: chrome://tracing event shapes, the drop cap, publication of
+// the document through write_file_atomic (as System::run writes it), and
+// that the emitted document actually parses as JSON (via the test-side
+// parser in tests/support/json.hpp).
 #include "obs/trace_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/file_io.hpp"
 #include "support/json.hpp"
 
 namespace hmcc::obs {
@@ -83,7 +85,7 @@ TEST(TraceWriter, WriteJsonPublishesAtomically) {
   std::remove(path.c_str());
   TraceWriter tw;
   tw.complete("span", "cat", 0.0, 10.0, 0);
-  ASSERT_TRUE(tw.write_json(path));
+  ASSERT_EQ(write_file_atomic(path, tw.to_json()), "");
   // No temp residue next to the published file.
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -98,7 +100,8 @@ TEST(TraceWriter, WriteJsonPublishesAtomically) {
 
 TEST(TraceWriter, WriteJsonFailsCleanlyOnBadPath) {
   TraceWriter tw;
-  EXPECT_FALSE(tw.write_json("/nonexistent-dir/trace.json"));
+  EXPECT_EQ(write_file_atomic("/nonexistent-dir/trace.json", tw.to_json()),
+            "/nonexistent-dir/trace.json: No such file or directory");
 }
 
 }  // namespace

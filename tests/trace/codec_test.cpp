@@ -184,59 +184,30 @@ TEST(Codec, MissingFileIsIoError) {
   MultiTrace out;
   EXPECT_EQ(read_file(out, "/nonexistent/dir/x.hmct").status,
             CodecStatus::kIoError);
+  const CodecResult res = write_file(mixed_trace(), "/nonexistent/dir/x.hmct");
+  EXPECT_EQ(res.status, CodecStatus::kIoError);
+  EXPECT_EQ(res.detail, "/nonexistent/dir/x.hmct: No such file or directory");
 }
 
-TEST(Codec, StreamingDecodeMatchesSlurpAtEveryChunkSize) {
-  // read_file streams through a bounded window; any chunk size — including
-  // ones far smaller than a record group — must produce the same trace as
-  // the in-memory decode of the same bytes.
-  workloads::WorkloadParams p;
-  p.num_cores = 4;
-  p.accesses_per_core = 2000;
-  const MultiTrace mt = workloads::make_workload("sg")->generate(p);
-  const auto bytes = encode(mt);
-  const std::string path = ::testing::TempDir() + "/codec_stream.hmct";
-  ASSERT_TRUE(write_file(mt, path).ok());
-  ASSERT_GT(bytes.size(), 4096u);  // the trace must actually span chunks
-  for (const std::size_t chunk : {std::size_t{16}, std::size_t{17},
-                                  std::size_t{1024}, bytes.size() * 2}) {
-    MultiTrace back;
-    const CodecResult res = read_file(back, path, chunk);
-    ASSERT_TRUE(res.ok()) << "chunk " << chunk << ": " << res.detail;
-    expect_equal(mt, back);
-  }
-}
+TEST(Codec, ReadFileMatchesDecodeOnCorruptFile) {
+  // read_file decodes the whole file through decode(), so a corrupt file
+  // reports exactly the status and detail string its bytes decode to.
+  auto bytes = encode(mixed_trace());
+  bytes.resize(bytes.size() - 3);
+  const std::string path = ::testing::TempDir() + "/codec_corrupt.hmct";
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
 
-TEST(Codec, StreamingPreservesEveryErrorDetail) {
-  // For each corruption, the streamed decode (tiny window) must report the
-  // exact status AND detail string the in-memory decode reports.
-  auto truncated = encode(mixed_trace());
-  truncated.resize(truncated.size() - 3);
-  auto trailing = encode(mixed_trace());
-  trailing.push_back(0xAB);
-  std::vector<std::uint8_t> too_many = {0x54, 0x43, 0x4D, 0x48,
-                                        0x02, 0x00, 0x00, 0x00};
-  put_test_varint(too_many, kMaxStreams + 1);
-  std::vector<std::uint8_t> bad_magic = {1, 2, 3, 4, 5, 6, 7, 8};
-
-  int n = 0;
-  for (const auto* bytes : {&truncated, &trailing, &too_many, &bad_magic}) {
-    const std::string path = ::testing::TempDir() + "/codec_err_" +
-                             std::to_string(n++) + ".hmct";
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes->data(), 1, bytes->size(), f), bytes->size());
-    std::fclose(f);
-
-    MultiTrace mem_out;
-    const CodecResult mem = decode(*bytes, mem_out);
-    MultiTrace file_out;
-    const CodecResult file = read_file(file_out, path, 16);
-    EXPECT_EQ(file.status, mem.status) << path;
-    EXPECT_EQ(file.detail, mem.detail) << path;
-    EXPECT_FALSE(file.ok());
-    EXPECT_TRUE(file_out.per_core.empty());
-  }
+  MultiTrace mem_out;
+  const CodecResult mem = decode(bytes, mem_out);
+  MultiTrace file_out;
+  const CodecResult file = read_file(file_out, path);
+  EXPECT_FALSE(file.ok());
+  EXPECT_EQ(file.status, mem.status);
+  EXPECT_EQ(file.detail, mem.detail);
+  EXPECT_TRUE(file_out.per_core.empty());
 }
 
 TEST(Codec, StatusStringsAreStable) {

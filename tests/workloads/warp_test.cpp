@@ -146,14 +146,28 @@ TEST(WarpWorkloads, MlpBoundChangesTheInterleave) {
 
 // --- Knob table ------------------------------------------------------------
 
+// The warp rows of workload_knobs(), the one table behind every binary's
+// warps= warp_width= lanes= max_outstanding_warps=.
+const desc::Knob<WorkloadParams>& knob(const std::string& key) {
+  for (const auto& k : workload_knobs()) {
+    if (k.meta.key == key) return k;
+  }
+  throw std::out_of_range(key);
+}
+
+WorkloadParams overlaid(const Config& cli, std::vector<std::string>& errors) {
+  WorkloadParams p;
+  desc::overlay(workload_knobs(), cli, p, errors);
+  return p;
+}
+
 TEST(WarpKnobs, TableCoversTheAdvertisedKeys) {
-  const std::vector<std::string> expected = {"warps", "warp_width", "lanes",
-                                             "max_outstanding_warps"};
-  EXPECT_EQ(desc::knob_keys(warp_knobs()), expected);
-  for (const auto& knob : warp_knobs()) {
-    EXPECT_EQ(knob.meta.scope, "bench");
-    EXPECT_FALSE(knob.meta.help.empty());
-    EXPECT_FALSE(knob.meta.default_value.empty());
+  for (const char* key :
+       {"warps", "warp_width", "lanes", "max_outstanding_warps"}) {
+    const desc::Knob<WorkloadParams>& k = knob(key);
+    EXPECT_EQ(k.meta.scope, "workload");
+    EXPECT_FALSE(k.meta.help.empty());
+    EXPECT_FALSE(k.meta.default_value.empty());
   }
 }
 
@@ -161,22 +175,24 @@ TEST(WarpKnobs, FromCliAppliesAndValidates) {
   Config cli;
   cli.set("warp_width", "64");
   cli.set("max_outstanding_warps", "2");
-  const WarpParams w = warp_params_from_cli(cli);
+  std::vector<std::string> errors;
+  const WarpParams w = overlaid(cli, errors).warp;
+  EXPECT_TRUE(errors.empty());
   EXPECT_EQ(w.warp_width, 64u);
   EXPECT_EQ(w.max_outstanding_warps, 2u);
   EXPECT_EQ(w.warps, 8u);  // untouched knobs keep defaults
   Config bad;
   bad.set("lanes", "0");  // below the min of 1
-  EXPECT_THROW((void)warp_params_from_cli(bad), std::invalid_argument);
+  (void)overlaid(bad, errors);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].rfind("lanes: ", 0), 0u) << errors[0];
 }
 
 TEST(WarpKnobs, RoundTripsThroughRead) {
   Config cli;
   cli.set("warps", "16");
-  const WarpParams w = warp_params_from_cli(cli);
-  for (const auto& k : warp_knobs()) {
-    if (k.meta.key == "warps") EXPECT_EQ(k.read(w), "16");
-  }
+  std::vector<std::string> errors;
+  EXPECT_EQ(knob("warps").read(overlaid(cli, errors)), "16");
 }
 
 }  // namespace
