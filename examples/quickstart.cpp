@@ -13,7 +13,7 @@
 #include <exception>
 
 #include "common/file_io.hpp"
-#include "common/table.hpp"
+#include "driver.hpp"
 #include "system/config_bridge.hpp"
 #include "system/runner.hpp"
 
@@ -36,7 +36,6 @@ int main(int argc, char** argv) try {
               workload.c_str(),
               static_cast<unsigned long long>(params.accesses_per_core));
 
-  Table table({"metric", "conventional MSHR", "memory coalescer"});
   system::SystemConfig conv = base;
   system::apply_mode(conv, system::CoalescerMode::kConventional);
   conv.obs.trace_json.clear();  // the trace covers the coalesced run only
@@ -48,38 +47,7 @@ int main(int argc, char** argv) try {
 
   const auto& b = baseline.report;
   const auto& c = coalesced.report;
-  table.add_row({"CPU accesses", Table::fmt(b.cpu_accesses),
-                 Table::fmt(c.cpu_accesses)});
-  table.add_row({"LLC misses + write-backs",
-                 Table::fmt(b.llc_misses + b.writebacks),
-                 Table::fmt(c.llc_misses + c.writebacks)});
-  table.add_row({"HMC requests", Table::fmt(b.memory_requests),
-                 Table::fmt(c.memory_requests)});
-  table.add_row({"coalescing efficiency",
-                 Table::pct(b.coalescing_efficiency()),
-                 Table::pct(c.coalescing_efficiency())});
-  table.add_row({"HMC bytes transferred", Table::fmt(b.hmc.transferred_bytes),
-                 Table::fmt(c.hmc.transferred_bytes)});
-  table.add_row({"bandwidth efficiency (payload)",
-                 Table::pct(b.payload_bandwidth_efficiency()),
-                 Table::pct(c.payload_bandwidth_efficiency())});
-  table.add_row({"avg HMC latency (cycles)", Table::fmt(b.hmc.latency.mean()),
-                 Table::fmt(c.hmc.latency.mean())});
-  table.add_row({"runtime (cycles)", Table::fmt(b.runtime),
-                 Table::fmt(c.runtime)});
-  table.add_row({"64B / 128B / 256B packets",
-                 Table::fmt(b.coalescer.size_64) + " / " +
-                     Table::fmt(b.coalescer.size_128) + " / " +
-                     Table::fmt(b.coalescer.size_256),
-                 Table::fmt(c.coalescer.size_64) + " / " +
-                     Table::fmt(c.coalescer.size_128) + " / " +
-                     Table::fmt(c.coalescer.size_256)});
-  table.add_row({"bypassed / CRQ merges",
-                 Table::fmt(b.coalescer.bypassed) + " / " +
-                     Table::fmt(b.coalescer.crq_merges),
-                 Table::fmt(c.coalescer.bypassed) + " / " +
-                     Table::fmt(c.coalescer.crq_merges)});
-  std::fputs(table.to_ascii().c_str(), stdout);
+  examples::print_report(b, c);
 
   const double speedup = b.runtime > 0 && c.runtime > 0
                              ? static_cast<double>(b.runtime) /

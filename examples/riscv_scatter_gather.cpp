@@ -8,12 +8,8 @@
 // key but trace_record= and trace_replay= (the program makes the trace).
 // mode= is swept, so each column overrides it. A bad argument exits 2.
 #include <cstdio>
-#include <exception>
 
-#include "common/table.hpp"
-#include "riscv/tracing.hpp"
-#include "system/config_bridge.hpp"
-#include "system/runner.hpp"
+#include "driver.hpp"
 
 namespace {
 
@@ -64,66 +60,24 @@ done:
     ecall
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) try {
-  using namespace hmcc;
-  desc::Args args(argc, argv);
-  const system::SystemConfig platform = system::platform_from(args);
-  const std::uint64_t iters = args.uint("iters", 2048, 1, 1u << 20);
-  for (const char* key : {"trace_record", "trace_replay"}) {
-    if (args.config().has(key)) {
-      args.fail(std::string(key) + ": the RISC-V program makes the trace");
-    }
-  }
-  if (!args.finish()) return 2;
-  const std::uint32_t cores = platform.hierarchy.num_cores;
-
-  std::string source = kGatherSource;
-  const std::string key = "ITERS";
-  source.replace(source.find(key), key.size(), std::to_string(iters));
-
-  riscv::Assembler as;
-  std::string error;
-  auto prog = as.assemble(source, &error);
-  if (!prog) {
-    std::fprintf(stderr, "assembly failed: %s\n", error.c_str());
-    return 1;
-  }
-  const auto traced = riscv::trace_program(*prog, cores);
-  if (!traced.all_exited_cleanly) {
-    std::fprintf(stderr, "program did not exit cleanly\n");
-    return 1;
-  }
+void describe(const hmcc::riscv::AssembledProgram& /*prog*/,
+              const hmcc::riscv::TraceProgramResult& traced,
+              std::uint32_t /*cores*/) {
   std::printf("gather kernel: %llu instructions, %llu memory accesses\n",
               static_cast<unsigned long long>(traced.instructions),
               static_cast<unsigned long long>(traced.trace.total_records()));
+}
 
-  Table table({"metric", "conventional MSHR", "memory coalescer"});
-  system::SystemReport reports[2];
-  const system::CoalescerMode modes[] = {system::CoalescerMode::kConventional,
-                                         system::CoalescerMode::kFull};
-  for (int m = 0; m < 2; ++m) {
-    system::SystemConfig cfg = platform;
-    system::apply_mode(cfg, modes[m]);
-    system::System sys(cfg);
-    reports[m] = sys.run(traced.trace);
-  }
-  const auto& b = reports[0];
-  const auto& c = reports[1];
-  table.add_row({"HMC requests", Table::fmt(b.memory_requests),
-                 Table::fmt(c.memory_requests)});
-  table.add_row({"coalescing efficiency",
-                 Table::pct(b.coalescing_efficiency()),
-                 Table::pct(c.coalescing_efficiency())});
-  table.add_row({"runtime (cycles)", Table::fmt(b.runtime),
-                 Table::fmt(c.runtime)});
-  std::fputs(table.to_ascii().c_str(), stdout);
+void conclude(const hmcc::system::SystemReport& /*conventional*/,
+              const hmcc::system::SystemReport& /*coalescer*/) {
   std::printf(
       "\nsequential idx/out streams coalesce; the PRNG-driven gathers do "
       "not — the mixed profile of the paper's SG benchmark.\n");
-  return 0;
-} catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hmcc::examples::run_riscv_example(
+      argc, argv, {kGatherSource, 2048, describe, conclude});
 }

@@ -11,12 +11,8 @@
 // key but trace_record= and trace_replay= (the program makes the trace).
 // mode= is swept, so each column overrides it. A bad argument exits 2.
 #include <cstdio>
-#include <exception>
 
-#include "common/table.hpp"
-#include "riscv/tracing.hpp"
-#include "system/config_bridge.hpp"
-#include "system/runner.hpp"
+#include "driver.hpp"
 
 namespace {
 
@@ -56,42 +52,12 @@ done:
     ecall
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) try {
-  using namespace hmcc;
-  desc::Args args(argc, argv);
-  const system::SystemConfig platform = system::platform_from(args);
-  const std::uint64_t iters = args.uint("iters", 4096, 1, 1u << 20);
-  for (const char* key : {"trace_record", "trace_replay"}) {
-    if (args.config().has(key)) {
-      args.fail(std::string(key) + ": the RISC-V program makes the trace");
-    }
-  }
-  if (!args.finish()) return 2;
-  const std::uint32_t cores = platform.hierarchy.num_cores;
-
-  // Substitute the chunk count into the source (poor man's preprocessor).
-  std::string source = kTriadSource;
-  const std::string key = "ITERS";
-  source.replace(source.find(key), key.size(), std::to_string(iters));
-
-  riscv::Assembler as;
-  std::string error;
-  auto prog = as.assemble(source, &error);
-  if (!prog) {
-    std::fprintf(stderr, "assembly failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("assembled %zu bytes at 0x%llx\n", prog->image.size(),
-              static_cast<unsigned long long>(prog->base));
-
-  const auto traced = riscv::trace_program(*prog, cores);
-  if (!traced.all_exited_cleanly) {
-    std::fprintf(stderr, "program did not exit cleanly\n");
-    return 1;
-  }
-  const trace::TraceProfile profile = trace::profile(traced.trace);
+void describe(const hmcc::riscv::AssembledProgram& prog,
+              const hmcc::riscv::TraceProgramResult& traced,
+              std::uint32_t cores) {
+  std::printf("assembled %zu bytes at 0x%llx\n", prog.image.size(),
+              static_cast<unsigned long long>(prog.base));
+  const hmcc::trace::TraceProfile profile = hmcc::trace::profile(traced.trace);
   std::printf(
       "executed %llu instructions on %u cores; %llu memory accesses "
       "(%.1f%% stores), %llu distinct lines\n",
@@ -99,40 +65,19 @@ int main(int argc, char** argv) try {
       static_cast<unsigned long long>(profile.loads + profile.stores),
       profile.store_fraction() * 100.0,
       static_cast<unsigned long long>(profile.distinct_lines));
+}
 
-  Table table({"metric", "conventional MSHR", "memory coalescer"});
-  system::SystemReport reports[2];
-  const system::CoalescerMode modes[] = {system::CoalescerMode::kConventional,
-                                         system::CoalescerMode::kFull};
-  for (int m = 0; m < 2; ++m) {
-    system::SystemConfig cfg = platform;
-    system::apply_mode(cfg, modes[m]);
-    system::System sys(cfg);
-    reports[m] = sys.run(traced.trace);
-  }
-  const auto& b = reports[0];
-  const auto& c = reports[1];
-  table.add_row({"LLC misses + write-backs",
-                 Table::fmt(b.llc_misses + b.writebacks),
-                 Table::fmt(c.llc_misses + c.writebacks)});
-  table.add_row({"HMC requests", Table::fmt(b.memory_requests),
-                 Table::fmt(c.memory_requests)});
-  table.add_row({"coalescing efficiency",
-                 Table::pct(b.coalescing_efficiency()),
-                 Table::pct(c.coalescing_efficiency())});
-  table.add_row({"256B packets", Table::fmt(b.coalescer.size_256),
-                 Table::fmt(c.coalescer.size_256)});
-  table.add_row({"HMC bytes on the wire", Table::fmt(b.hmc.transferred_bytes),
-                 Table::fmt(c.hmc.transferred_bytes)});
-  table.add_row({"runtime (cycles)", Table::fmt(b.runtime),
-                 Table::fmt(c.runtime)});
-  std::fputs(table.to_ascii().c_str(), stdout);
+void conclude(const hmcc::system::SystemReport& b,
+              const hmcc::system::SystemReport& c) {
   std::printf("\nmemory-phase speedup: %.2fx\n",
               c.runtime ? static_cast<double>(b.runtime) /
                               static_cast<double>(c.runtime)
                         : 0.0);
-  return 0;
-} catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return hmcc::examples::run_riscv_example(
+      argc, argv, {kTriadSource, 4096, describe, conclude});
 }

@@ -55,6 +55,8 @@ expect 2 "error: warps: " "$bench/bench_suite" only=fig01 warps=zz
 expect 2 "error: thread: unknown key" "$bench/bench_suite" only=fig01 thread=8
 expect 2 "error: csv: unknown key" "$bench/bench_suite" only=fig01 csv=x.csv
 expect 2 "error: only: " "$bench/bench_suite" only=fig99
+expect 2 "error: mode: '' is not one of none|conventional|dmc-only|coalescer" \
+  "$bench/bench_suite" only=fig01 mode=
 expect 2 "error: accesses: " "$examples/quickstart" accesses=abc mlp=zz
 expect 2 "error: mlp: " "$examples/quickstart" accesses=abc mlp=zz
 expect 2 "error: window: " "$examples/quickstart" window=3
@@ -63,6 +65,8 @@ expect 2 "error: mshrs: unknown key" "$examples/quickstart" mshrs=8
 expect 2 "error: warps: " "$examples/trace_workbench" cmd=profile \
   workload=warp_gups warps=zz
 expect 2 "error: cmd: " "$examples/trace_workbench" cmd=bogus
+expect 2 "error: cmd: " "$examples/trace_workbench" cmd=save
+expect 2 "error: file: unknown key" "$examples/trace_workbench" file=x.hmct
 expect 2 "error: accesses: " "$examples/spmv_hpcg" accesses=-5
 expect 2 "error: thread8: expected key=value" "$examples/graph_ssca2" thread8
 expect 2 "error: cores: " "$examples/riscv_stream_triad" iters=64 cores=0

@@ -95,10 +95,6 @@ std::optional<Addr> Hierarchy::fill_llc(Addr line_addr, bool dirty) {
   return llc_->fill(line_addr, dirty);
 }
 
-bool Hierarchy::llc_contains(Addr line_addr) const {
-  return llc_->probe(line_addr);
-}
-
 void Hierarchy::recycle(std::vector<Addr>&& writebacks) {
   if (writebacks.capacity() == 0) return;
   writebacks.clear();

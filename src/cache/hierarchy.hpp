@@ -55,15 +55,6 @@ class Hierarchy {
   /// victim line address if the fill displaced one (goes to memory).
   std::optional<Addr> fill_llc(Addr line_addr, bool dirty);
 
-  /// True if the LLC currently holds @p line_addr.
-  [[nodiscard]] bool llc_contains(Addr line_addr) const;
-
-  [[nodiscard]] const Cache& l1(std::uint32_t core) const {
-    return *l1_[core];
-  }
-  [[nodiscard]] const Cache& l2(std::uint32_t core) const {
-    return *l2_[core];
-  }
   [[nodiscard]] const Cache& llc() const noexcept { return *llc_; }
 
   /// Hand an access result's write-back vector back so the next access()

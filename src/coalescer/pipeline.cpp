@@ -42,8 +42,6 @@ PipelinedSorter::PipelinedSorter(std::uint32_t window, PipelineShape shape,
 
 Cycle PipelinedSorter::process(std::span<std::uint64_t> keys,
                                std::uint32_t valid_count, Cycle submit) {
-  assert(keys.size() == net_.width());
-
   // Stage-select: how many algorithmic stages (and hence flat steps) this
   // window actually needs.
   const std::uint32_t alg_stages = net_.stages_needed(valid_count);
@@ -51,11 +49,7 @@ Cycle PipelinedSorter::process(std::span<std::uint64_t> keys,
   const std::uint32_t steps_needed = steps_before_stage_[alg_stages];
 
   // Functional sort: execute exactly the steps the hardware would.
-  for (std::uint32_t i = 0; i < steps_needed; ++i) {
-    for (const Comparator& c : *flat_steps_[i]) {
-      if (keys[c.lo] > keys[c.hi]) std::swap(keys[c.lo], keys[c.hi]);
-    }
-  }
+  net_.sort_partial(keys, alg_stages);
 
   // Timing: walk the pipeline groups until the needed steps are covered.
   Cycle t = submit;

@@ -251,14 +251,12 @@ Knob<Target> enum_knob(std::string key, std::string scope, std::string help,
 /// Apply every knob of @p knobs that @p cli sets, in table order, appending
 /// one "key: problem" line to @p errors per rejected value; valid knobs
 /// still apply when others fail. The one loop that applies a knob table.
-/// An empty enum value (mode=, pipeline=) keeps the current setting.
 template <typename Target>
 void overlay(const std::vector<Knob<Target>>& knobs, const Config& cli,
              Target& target, std::vector<std::string>& errors) {
   for (const Knob<Target>& k : knobs) {
     const auto it = cli.values().find(k.meta.key);
     if (it == cli.values().end()) continue;
-    if (k.meta.kind == KnobKind::kEnum && it->second.empty()) continue;
     std::string err = k.apply(target, it->second);
     if (!err.empty()) errors.push_back(k.meta.key + ": " + std::move(err));
   }

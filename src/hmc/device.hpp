@@ -87,13 +87,6 @@ class HmcDevice {
     return outstanding_;
   }
 
-  /// Transactions submitted to @p vault whose response has not completed
-  /// yet, tracked at the device layer (submit / completion event).
-  [[nodiscard]] std::uint64_t vault_queue_depth(
-      std::uint32_t vault) const noexcept {
-    return vault_depth_[vault];
-  }
-
   /// Attach a chrome-trace writer (nullptr detaches); forwarded to every
   /// vault, which emit per-bank row-buffer spans (row_open / row_hit /
   /// row_conflict) while attached.

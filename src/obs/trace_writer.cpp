@@ -31,7 +31,6 @@ std::string json_escape(std::string_view s) {
 }
 
 void TraceWriter::push(std::string event) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (events_.size() >= max_events_) {
     ++dropped_;
     return;
@@ -54,26 +53,7 @@ void TraceWriter::counter(std::string_view name, double ts_ns, double value) {
        ",\"pid\":0,\"args\":{\"value\":" + format_double(value) + "}}");
 }
 
-void TraceWriter::instant(std::string_view name, std::string_view category,
-                          double ts_ns, std::uint32_t tid) {
-  push("{\"name\":\"" + json_escape(name) + "\",\"cat\":\"" +
-       json_escape(category) + "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-       format_double(ts_ns / 1000.0) + ",\"pid\":0,\"tid\":" +
-       std::to_string(tid) + "}");
-}
-
-std::size_t TraceWriter::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-std::uint64_t TraceWriter::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
 std::string TraceWriter::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out =
       "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":" +
       std::to_string(dropped_) + "},\"traceEvents\":[";

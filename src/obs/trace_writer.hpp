@@ -17,17 +17,18 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace hmcc::obs {
 
+/// Not thread-safe: the System that owns a writer records into it from its
+/// one simulation thread.
 class TraceWriter {
  public:
   /// @p max_events bounds buffered memory; once reached, further events are
-  /// counted in dropped() but not stored.
+  /// not stored, only counted in the document's "dropped" field.
   explicit TraceWriter(std::size_t max_events = 1u << 20)
       : max_events_(max_events) {}
 
@@ -40,13 +41,6 @@ class TraceWriter {
   /// area chart (e.g. CRQ occupancy over time).
   void counter(std::string_view name, double ts_ns, double value);
 
-  /// An instant marker ("i" event), e.g. a window timeout flush.
-  void instant(std::string_view name, std::string_view category, double ts_ns,
-               std::uint32_t tid = 0);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t dropped() const;
-
   /// The complete trace document ({"displayTimeUnit", "traceEvents", ...}).
   [[nodiscard]] std::string to_json() const;
 
@@ -56,7 +50,6 @@ class TraceWriter {
   void push(std::string event);
 
   std::size_t max_events_;
-  mutable std::mutex mu_;
   std::vector<std::string> events_;
   std::uint64_t dropped_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "riscv/isa.hpp"
 
 #include <array>
-#include <cstdio>
 
 #include "common/bits.hpp"
 
@@ -375,29 +374,6 @@ std::uint32_t encode(const Instruction& i) noexcept {
   return 0;
 }
 
-const char* mnemonic(Op op) noexcept {
-  static constexpr std::array<const char*, 80> names = {
-      "invalid", "lui", "auipc", "jal", "jalr", "beq", "bne", "blt", "bge",
-      "bltu", "bgeu", "lb", "lh", "lw", "ld", "lbu", "lhu", "lwu", "sb",
-      "sh", "sw", "sd", "addi", "slti", "sltiu", "xori", "ori", "andi",
-      "slli", "srli", "srai", "add", "sub", "sll", "slt", "sltu", "xor",
-      "srl", "sra", "or", "and", "addiw", "slliw", "srliw", "sraiw", "addw",
-      "subw", "sllw", "srlw", "sraw", "fence", "ecall", "ebreak", "mul",
-      "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu", "mulw",
-      "divw", "divuw", "remw", "remuw", "lr.w", "lr.d", "sc.w", "sc.d",
-      "amoswap.w", "amoswap.d", "amoadd.w", "amoadd.d", "amoxor.w",
-      "amoxor.d", "amoand.w", "amoand.d", "amoor.w", "amoor.d"};
-  const auto idx = static_cast<std::size_t>(op);
-  return idx < names.size() ? names[idx] : "?";
-}
-
-std::string Instruction::to_string() const {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%s rd=%u rs1=%u rs2=%u imm=%lld",
-                mnemonic(op), rd, rs1, rs2, static_cast<long long>(imm));
-  return buf;
-}
-
 int register_number(const std::string& name) noexcept {
   static const std::array<const char*, 32> abi = {
       "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0",
@@ -416,14 +392,6 @@ int register_number(const std::string& name) noexcept {
     return v < 32 ? v : -1;
   }
   return -1;
-}
-
-const char* register_name(unsigned index) noexcept {
-  static const std::array<const char*, 32> abi = {
-      "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0",
-      "a1", "a2", "a3", "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5",
-      "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4", "t5", "t6"};
-  return index < 32 ? abi[index] : "?";
 }
 
 }  // namespace hmcc::riscv

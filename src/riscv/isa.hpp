@@ -1,4 +1,4 @@
-// RV64IM instruction set: mnemonics and decoded-instruction representation.
+// RV64IM instruction set: opcodes and decoded-instruction representation.
 //
 // The paper implements its coalescer host as "a small, embedded RISC-V core
 // that implements the basic RISC-V RV64I instruction set", traced with the
@@ -34,8 +34,6 @@ enum class Op : std::uint8_t {
   kAmoAndW, kAmoAndD, kAmoOrW, kAmoOrD,
 };
 
-[[nodiscard]] const char* mnemonic(Op op) noexcept;
-
 /// A fully decoded instruction.
 struct Instruction {
   Op op = Op::kInvalid;
@@ -60,7 +58,6 @@ struct Instruction {
   }
   /// Memory access width in bytes (loads/stores only).
   [[nodiscard]] std::uint32_t access_bytes() const noexcept;
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Decode one 32-bit instruction word.
@@ -70,8 +67,8 @@ struct Instruction {
 /// assembler and round-trip tests). Returns 0 for kInvalid.
 [[nodiscard]] std::uint32_t encode(const Instruction& inst) noexcept;
 
-/// Canonical ABI register names (x0..x31 and zero/ra/sp/...).
+/// Register number of an ABI name (zero/ra/sp/..., fp) or of x0..x31; -1
+/// when @p name is neither.
 [[nodiscard]] int register_number(const std::string& name) noexcept;
-[[nodiscard]] const char* register_name(unsigned index) noexcept;
 
 }  // namespace hmcc::riscv

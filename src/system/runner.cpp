@@ -13,9 +13,9 @@ SystemConfig paper_system_config() {
   return cfg;
 }
 
-RunResult run_workload(const std::string& workload, SystemConfig cfg,
-                       const workloads::WorkloadParams& params,
-                       System::MissHook miss_hook) {
+trace::MultiTrace load_trace(const std::string& workload,
+                             const SystemConfig& cfg,
+                             const workloads::WorkloadParams& params) {
   trace::MultiTrace mtrace;
   if (!cfg.trace_io.replay_path.empty()) {
     // Replay: the .hmct file IS the workload; the named generator is not
@@ -27,14 +27,6 @@ RunResult run_workload(const std::string& workload, SystemConfig cfg,
                                   ": " + trace::to_string(res.status) +
                                   (res.detail.empty() ? "" : " (" + res.detail +
                                                                 ")"));
-    }
-    if (mtrace.per_core.size() > cfg.hierarchy.num_cores) {
-      throw std::invalid_argument(
-          "trace_replay=" + cfg.trace_io.replay_path + ": trace has " +
-          std::to_string(mtrace.per_core.size()) +
-          " core streams but the platform has " +
-          std::to_string(cfg.hierarchy.num_cores) +
-          " cores; raise cores= to at least the trace's count");
     }
   } else {
     auto gen = workloads::make_workload(workload);
@@ -53,12 +45,30 @@ RunResult run_workload(const std::string& workload, SystemConfig cfg,
                                                               ")"));
     }
   }
+  return mtrace;
+}
+
+RunResult run_workload(const std::string& workload, SystemConfig cfg,
+                       const workloads::WorkloadParams& params,
+                       System::MissHook miss_hook) {
+  const trace::MultiTrace mtrace = load_trace(workload, cfg, params);
+  if (mtrace.per_core.size() > cfg.hierarchy.num_cores) {
+    throw std::invalid_argument(
+        "trace_replay=" + cfg.trace_io.replay_path + ": trace has " +
+        std::to_string(mtrace.per_core.size()) +
+        " core streams but the platform has " +
+        std::to_string(cfg.hierarchy.num_cores) +
+        " cores; raise cores= to at least the trace's count");
+  }
   System sys(cfg);
   sys.set_miss_hook(std::move(miss_hook));
   RunResult r;
   r.workload = workload;
   r.mode = cfg.mode;
   r.report = sys.run(mtrace);
+  if (!r.report.drained) {
+    throw std::runtime_error(workload + ": the run did not drain");
+  }
   if (sys.metrics() != nullptr) {
     r.metrics_text = sys.metrics()->render_prometheus();
   }

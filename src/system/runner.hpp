@@ -5,6 +5,7 @@
 #include <string>
 
 #include "system/system.hpp"
+#include "trace/trace.hpp"
 #include "workloads/workload.hpp"
 
 namespace hmcc::system {
@@ -23,10 +24,19 @@ struct RunResult {
 /// 8 GB HMC with 256 B block addressing, n=16 coalescing window, tau=2.
 [[nodiscard]] SystemConfig paper_system_config();
 
-/// Generate the named workload and run it under @p cfg. The workload/seed
-/// pair is deterministic, so two calls with different modes see identical
-/// traces. A non-empty @p miss_hook observes every request that enters the
-/// coalescer (System::set_miss_hook).
+/// The trace a run under @p cfg works on: the .hmct file trace_replay=
+/// names, else the named workload generated for cfg's core count; also
+/// written to trace_record= when that is set. Throws on a failed read or
+/// write.
+[[nodiscard]] trace::MultiTrace load_trace(
+    const std::string& workload, const SystemConfig& cfg,
+    const workloads::WorkloadParams& params);
+
+/// Run load_trace()'s trace under @p cfg. The workload/seed pair is
+/// deterministic, so two calls with different modes see identical traces.
+/// A non-empty @p miss_hook observes every request that enters the
+/// coalescer (System::set_miss_hook). Throws when a replayed trace has more
+/// core streams than cfg has cores, and when the run does not drain.
 [[nodiscard]] RunResult run_workload(const std::string& workload,
                                      SystemConfig cfg,
                                      const workloads::WorkloadParams& params,

@@ -31,7 +31,7 @@ System::System(SystemConfig cfg)
   }
 }
 
-std::uint64_t System::alloc_token(std::uint32_t core, bool is_store) {
+std::uint64_t System::alloc_token(std::uint32_t core) {
   std::uint64_t idx;
   if (!free_tokens_.empty()) {
     idx = free_tokens_.back();
@@ -42,7 +42,6 @@ std::uint64_t System::alloc_token(std::uint32_t core, bool is_store) {
   }
   Pending& p = pending_[idx];
   p.core = core;
-  p.is_store_miss = is_store;
   p.in_use = true;
   return idx + 1;  // token 0 is the write-back sentinel
 }
@@ -76,7 +75,7 @@ void System::submit_miss(std::uint32_t core, Addr addr, std::uint32_t size,
   r.addr = addr;
   r.payload_bytes = size;
   r.type = type;
-  r.token = alloc_token(core, type == ReqType::kStore);
+  r.token = alloc_token(core);
   if (miss_hook_) miss_hook_(r, core);
   coalescer_->submit(r);
 }

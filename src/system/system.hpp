@@ -119,7 +119,6 @@ class System {
   };
   struct Pending {
     std::uint32_t core = 0;
-    bool is_store_miss = false;
     bool in_use = false;
   };
 
@@ -130,7 +129,7 @@ class System {
   void submit_writeback(Addr line_addr);
   void on_complete(Addr line_addr, std::uint64_t token);
   void maybe_release_barrier();
-  std::uint64_t alloc_token(std::uint32_t core, bool is_store);
+  std::uint64_t alloc_token(std::uint32_t core);
   [[nodiscard]] bool sim_drained() const;
   void arm_sampler();
 

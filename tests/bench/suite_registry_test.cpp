@@ -164,7 +164,7 @@ int run_suite_captured(std::vector<std::string> args, std::string& out) {
 }
 
 // Each bench run on its own, as `bench_suite only=<name>` runs one figure.
-TEST(SuiteRegistry, StandaloneDriverSmokesEveryBench) {
+TEST(SuiteRegistry, OnlyRunsEveryBenchAlone) {
   for (const SuiteBench& b : suite_benches()) {
     SCOPED_TRACE(b.meta.name);
     std::string out;
@@ -253,7 +253,7 @@ TEST(SuiteRegistry, Fig10BatchesByThePlatformWindow) {
   EXPECT_NE(by_default, by_eight);
 }
 
-TEST(SuiteRegistry, ServiceJobCapturesEpilogueInPayload) {
+TEST(SuiteRegistry, EpilogueFollowsTheTable) {
   // fig10's epilogue follows its table, so the captured output of the run
   // carries it.
   const SuiteBench* bench = find_bench("fig10");

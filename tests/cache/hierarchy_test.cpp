@@ -47,7 +47,7 @@ TEST(Hierarchy, LlcHitAfterFill) {
   Hierarchy h(tiny_cfg());
   h.access(0, 0x3000, ReqType::kLoad);
   h.fill_llc(0x3000, false);
-  EXPECT_TRUE(h.llc_contains(0x3000));
+  EXPECT_TRUE(h.llc().probe(0x3000));
   const auto r = h.access(1, 0x3000, ReqType::kLoad);
   EXPECT_EQ(r.level, HitLevel::kLlc);
   EXPECT_EQ(r.latency, 4u + 12u + 30u);

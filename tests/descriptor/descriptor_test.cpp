@@ -212,15 +212,19 @@ TEST(PlatformKnobs, OverlayCollectsOneErrorPerBadKnob) {
   }
 }
 
-TEST(PlatformKnobs, EmptyEnumValueKeepsCurrentSetting) {
+TEST(PlatformKnobs, EmptyEnumValueIsRejected) {
   Config cli;
   cli.set("mode", "");
   cli.set("pipeline", "");
   system::SystemConfig cfg = system::paper_system_config();
   const system::CoalescerMode before = cfg.mode;
   std::vector<std::string> errors;
-  EXPECT_TRUE(system::overlay_config(cli, cfg, errors));
+  EXPECT_FALSE(system::overlay_config(cli, cfg, errors));
   EXPECT_EQ(cfg.mode, before);
+  const std::vector<std::string> expected = {
+      "pipeline: '' is not one of stage|step",
+      "mode: '' is not one of none|conventional|dmc-only|coalescer"};
+  EXPECT_EQ(errors, expected);
 }
 
 TEST(PlatformKnobs, ConfigFromCliThrowsWithEveryProblemListed) {
@@ -251,7 +255,7 @@ TEST(PlatformKnobs, MetadataMatchesKeysAndCarriesDefaults) {
 
 // --- Workload knob table ---------------------------------------------------
 
-TEST(BenchKnobs, TableCoversTheHistoricalKeys) {
+TEST(WorkloadKnobs, TableHoldsTheSixWorkloadKeys) {
   std::vector<std::string> keys;
   for (const auto& k : workloads::workload_knobs()) keys.push_back(k.meta.key);
   const std::vector<std::string> expected = {
@@ -260,7 +264,7 @@ TEST(BenchKnobs, TableCoversTheHistoricalKeys) {
   EXPECT_EQ(keys, expected);
 }
 
-TEST(BenchKnobs, RejectsBadValuesInsteadOfKeepingDefaults) {
+TEST(WorkloadKnobs, RejectsBadValuesInsteadOfKeepingDefaults) {
   const char* argv[] = {"prog", "accesses=1234", "seed=notanumber"};
   desc::Args args(3, argv);
   workloads::WorkloadParams p;
@@ -315,7 +319,7 @@ TEST(DescriptorArgs, DeclaredKeysPassSilently) {
   EXPECT_EQ(p.warp.warps, 4u);
 }
 
-// --- Knob metadata ---------------------------------------------------------
+// --- Knob tables -----------------------------------------------------------
 
 // True when the workload or platform table declares @p key in @p scope.
 bool declares(const char* key, const char* scope) {
@@ -327,7 +331,7 @@ bool declares(const char* key, const char* scope) {
   return in(workloads::workload_knobs()) || in(system::platform_knobs());
 }
 
-TEST(KnobMetadataJson, IsGeneratedFromBothTables) {
+TEST(KnobTables, WorkloadKeysAreWorkloadScopedAndNotPlatformKeys) {
   // Every workload key is in workload scope and no key is declared by both
   // tables: desc::Args would apply it twice.
   for (const auto& k : workloads::workload_knobs()) {
@@ -336,7 +340,7 @@ TEST(KnobMetadataJson, IsGeneratedFromBothTables) {
   }
 }
 
-TEST(KnobMetadataJson, AdvertisesWarpAndTraceIoKnobs) {
+TEST(KnobTables, DeclareTheWarpAndTraceIoKnobs) {
   // Every binary that generates a workload can shape the warp front-end and
   // replay shipped .hmct corpora; the knob tables must declare all six
   // knobs.
@@ -348,7 +352,7 @@ TEST(KnobMetadataJson, AdvertisesWarpAndTraceIoKnobs) {
   EXPECT_TRUE(declares("trace_replay", "platform"));
 }
 
-TEST(KnobMetadataJson, AdvertisesTheSampleIntervalKnob) {
+TEST(KnobTables, DeclareTheSampleIntervalKnob) {
   EXPECT_TRUE(declares("sample_interval", "platform"));
 }
 

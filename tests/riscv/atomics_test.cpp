@@ -21,7 +21,7 @@ TEST(Atomics, DecodeEncodeRoundTrip) {
     in.rs1 = 11;
     in.rs2 = (op == Op::kLrW || op == Op::kLrD) ? 0 : 12;
     const Instruction out = decode(encode(in));
-    EXPECT_EQ(out.op, in.op) << mnemonic(op);
+    EXPECT_EQ(out.op, in.op) << "op " << static_cast<int>(op);
     EXPECT_EQ(out.rd, in.rd);
     EXPECT_EQ(out.rs1, in.rs1);
     EXPECT_EQ(out.rs2, in.rs2);

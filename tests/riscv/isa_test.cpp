@@ -108,18 +108,19 @@ TEST(Isa, EncodeDecodeRoundTripAllOps) {
       }
       const std::uint32_t word = encode(in);
       const Instruction out = decode(word);
-      ASSERT_EQ(out.op, in.op) << mnemonic(op);
+      ASSERT_EQ(out.op, in.op) << "op " << static_cast<int>(op);
       // rd is only architectural outside stores/branches (their rd field
       // bits carry immediate pieces); rs1/rs2 only outside U/J formats.
       if (!in.is_store() && !in.is_branch() && op != Op::kFence &&
           op != Op::kEcall && op != Op::kEbreak) {
-        EXPECT_EQ(out.rd, in.rd) << mnemonic(op);
+        EXPECT_EQ(out.rd, in.rd) << "op " << static_cast<int>(op);
       }
       if (in.is_store() || in.is_branch()) {
-        EXPECT_EQ(out.rs1, in.rs1) << mnemonic(op);
-        EXPECT_EQ(out.rs2, in.rs2) << mnemonic(op);
+        EXPECT_EQ(out.rs1, in.rs1) << "op " << static_cast<int>(op);
+        EXPECT_EQ(out.rs2, in.rs2) << "op " << static_cast<int>(op);
       }
-      EXPECT_EQ(out.imm, in.imm) << mnemonic(op) << " imm " << in.imm;
+      EXPECT_EQ(out.imm, in.imm)
+          << "op " << static_cast<int>(op) << " imm " << in.imm;
     }
   }
 }
@@ -134,7 +135,6 @@ TEST(Isa, RegisterNames) {
   EXPECT_EQ(register_number("fp"), 8);
   EXPECT_EQ(register_number("bogus"), -1);
   EXPECT_EQ(register_number("x32"), -1);
-  EXPECT_STREQ(register_name(10), "a0");
 }
 
 TEST(Isa, ClassPredicates) {
