@@ -1,5 +1,5 @@
-// Event-kernel microbench: events/sec of the production bucketed Kernel vs
-// the reference binary-heap + std::function scheduler it replaced.
+// Event-kernel microbench: events/sec of the production Kernel vs the
+// reference binary-heap + std::function scheduler it replaced.
 //
 // Two patterns bracket the simulator's real behavior:
 //   * schedule-heavy — a population of self-rescheduling actors with small
@@ -100,7 +100,7 @@ double run_until_heavy(std::uint64_t events) {
 struct PatternResult {
   const char* name;
   std::uint64_t events;
-  double bucketed_s;
+  double kernel_s;
   double reference_s;
 };
 
@@ -126,11 +126,11 @@ int main(int argc, char** argv) {
                      std::to_string(events) + ", \"patterns\": [";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PatternResult& r = results[i];
-    const double eps = static_cast<double>(r.events) / r.bucketed_s;
+    const double eps = static_cast<double>(r.events) / r.kernel_s;
     const double ref_eps = static_cast<double>(r.events) / r.reference_s;
     const double speedup = eps / ref_eps;
     std::printf(
-        "%-16s bucketed %10.0f ev/s | reference heap %10.0f ev/s | %.2fx\n",
+        "%-16s kernel %10.0f ev/s | reference heap %10.0f ev/s | %.2fx\n",
         r.name, eps, ref_eps, speedup);
     char buf[256];
     std::snprintf(buf, sizeof buf,

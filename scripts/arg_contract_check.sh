@@ -62,6 +62,15 @@ expect 2 "error: mlp: " "$examples/quickstart" accesses=abc mlp=zz
 expect 2 "error: window: " "$examples/quickstart" window=3
 expect 2 "error: window: " "$examples/quickstart" window=32
 expect 2 "error: mshrs: unknown key" "$examples/quickstart" mshrs=8
+# Line and packet sizes no cube command carries, and packets that could
+# cross an HMC block (each used to abort in the device model).
+run=(cmd=run workload=stream accesses=300 mode=coalescer)
+expect 2 "error: line_bytes: " "$examples/trace_workbench" "${run[@]}" line_bytes=8
+expect 2 "error: line_bytes: " "$examples/trace_workbench" "${run[@]}" line_bytes=512
+expect 2 "error: max_packet: " "$examples/trace_workbench" "${run[@]}" max_packet=512
+expect 2 "error: block_bytes: " "$examples/trace_workbench" "${run[@]}" block_bytes=32
+expect 2 "error: block_bytes: " "$examples/trace_workbench" "${run[@]}" block_bytes=64
+expect 2 "error: block_bytes: " "$examples/trace_workbench" "${run[@]}" block_bytes=128
 expect 2 "error: warps: " "$examples/trace_workbench" cmd=profile \
   workload=warp_gups warps=zz
 expect 2 "error: cmd: " "$examples/trace_workbench" cmd=bogus

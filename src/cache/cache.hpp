@@ -6,6 +6,12 @@
 // / system layers.  fill() and access() are separated so the LLC can delay
 // its fills until the HMC response returns while private levels fill
 // immediately.
+//
+// Layout: a way is 16 bytes, one word holding the tag with the valid and
+// dirty bits and one holding the 64-bit LRU stamp, so an 8-way set spans
+// two host cache lines.  No line is ever invalidated and a fill takes the
+// first empty way, so the valid ways of a set are always a prefix of it:
+// every scan stops at the first empty way.
 #pragma once
 
 #include <cstdint>
@@ -61,32 +67,43 @@ class Cache {
   }
 
  private:
+  /// One way. key = tag << 2 | kDirty? | kValid, or 0 while the way is
+  /// empty; stamp = clock_ at the line's last touch.
   struct Line {
-    Addr tag = 0;
-    std::uint64_t stamp = 0;  ///< recency: clock_ at the last touch
-    bool valid = false;
-    bool dirty = false;
+    std::uint64_t key = 0;
+    std::uint64_t stamp = 0;
   };
+  static constexpr std::uint64_t kValid = 1;
+  static constexpr std::uint64_t kDirty = 2;
 
   [[nodiscard]] std::uint32_t set_index(Addr addr) const noexcept {
     return static_cast<std::uint32_t>((addr >> line_bits_) & (num_sets_ - 1));
   }
-  [[nodiscard]] Addr tag_of(Addr addr) const noexcept {
-    return addr >> line_bits_;
+  /// The key of a clean valid line holding @p addr.
+  [[nodiscard]] std::uint64_t key_of(Addr addr) const noexcept {
+    return (addr >> line_bits_) << 2 | kValid;
   }
   /// The ways of @p addr's set.
   [[nodiscard]] Line* set_of(Addr addr) noexcept {
-    return lines_.data() +
-           static_cast<std::size_t>(set_index(addr)) * cfg_.ways;
+    return lines_.data() + static_cast<std::size_t>(set_index(addr)) * ways_;
   }
-  [[nodiscard]] Line* find(Addr addr);
-  [[nodiscard]] const Line* find(Addr addr) const;
+  [[nodiscard]] const Line* set_of(Addr addr) const noexcept {
+    return lines_.data() + static_cast<std::size_t>(set_index(addr)) * ways_;
+  }
+  /// The way of @p set that holds the line of @p key, or ways_ if none.
+  [[nodiscard]] std::uint32_t way_of(const Line* set,
+                                     std::uint64_t key) const noexcept;
 
   CacheConfig cfg_;
   unsigned line_bits_;
   std::uint32_t num_sets_;
+  std::uint32_t ways_;
   std::vector<Line> lines_;  ///< num_sets x ways, row-major
   std::uint64_t clock_ = 0;  ///< touch counter behind Line::stamp
+  /// Key of the line the last lookup() missed, or 0 once a fill() has run
+  /// since: only fill() installs lines, so until then that line is known
+  /// to be absent and a fill of it skips the search.
+  std::uint64_t missed_ = 0;
   CacheStats stats_;
 };
 

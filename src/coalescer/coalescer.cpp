@@ -22,8 +22,9 @@ MemoryCoalescer::MemoryCoalescer(Kernel& kernel, CoalescerConfig cfg,
       crq_(cfg.num_mshrs),
       crq_push_busy_(cfg.num_mshrs) {
   assert(issue_ && complete_);
+  assert(cfg_.window <= (1u << kIndexBits) &&
+         "a window index must fit the sort key's low bits");
   window_.reserve(cfg_.window);
-  order_.reserve(cfg_.window);
   allocated_.reserve(cfg_.num_mshrs);
 }
 
@@ -88,18 +89,22 @@ void MemoryCoalescer::flush_window() {
   timeout_armed_ = false;
   ++stats_.batches;
 
-  // Build the padded key window (§3.4: invalid keys sort to the tail) and
-  // run it through the pipelined network for timing; functionally the batch
-  // is ordered by the same 54-bit keys, ties in arrival order.
-  std::fill(keys_.begin(), keys_.end(), kInvalidKey);
-  order_.clear();
-  for (std::size_t i = 0; i < window_.size(); ++i) {
-    keys_[i] = window_[i].sort_key();
-    order_.emplace_back(keys_[i], static_cast<std::uint32_t>(i));
+  // Build the padded key window (§3.4: padding sorts to the tail) and run it
+  // through the pipelined network, which both times the sort and orders the
+  // batch. Each key is the request's 54-bit sort key without the line
+  // offset (the address is line-aligned, so nothing is lost), shifted up to
+  // carry the window index in its low bits: valid and type stay the top
+  // bits and every key is unique, so the network's output order is valid,
+  // type, line, then arrival.
+  const unsigned line_bits = log2_floor(cfg_.line_bytes);
+  const auto count = static_cast<std::uint32_t>(window_.size());
+  std::fill(keys_.begin(), keys_.end(), ~std::uint64_t{0});
+  for (std::uint32_t i = 0; i < count; ++i) {
+    keys_[i] = (window_[i].sort_key() >> line_bits) << kIndexBits | i;
   }
-  const Cycle sorted_at = sorter_.process(
-      keys_, static_cast<std::uint32_t>(window_.size()), kernel_.now());
-  std::sort(order_.begin(), order_.end());
+  const Cycle sorted_at = sorter_.process(keys_, count, kernel_.now());
+  assert(std::is_sorted(keys_.begin(), keys_.begin() + count) &&
+         "the network must order the window");
 
   std::vector<CoalescerRequest> batch;
   if (!spare_batches_.empty()) {
@@ -108,7 +113,9 @@ void MemoryCoalescer::flush_window() {
   } else {
     batch.reserve(cfg_.window);
   }
-  for (const auto& [key, i] : order_) batch.push_back(window_[i]);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    batch.push_back(window_[keys_[i] & low_mask(kIndexBits)]);
+  }
   window_.clear();
 
   kernel_.schedule_at(sorted_at, [this, batch = std::move(batch)]() mutable {

@@ -142,9 +142,11 @@ class MemoryCoalescer {
   std::vector<CoalescerRequest> window_;
   std::uint64_t timeout_gen_ = 0;   ///< invalidates stale timeout events
   bool timeout_armed_ = false;
-  std::vector<std::uint64_t> keys_;  ///< the sorter's padded key window
-  /// (sort key, window index) per request: sorted, the stable key order.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> order_;
+  /// Low bits of a network key that hold the request's window index
+  /// (the window knob's maximum is 1024).
+  static constexpr unsigned kIndexBits = 10;
+  /// The sorter's padded key window; sorted, it is the batch order.
+  std::vector<std::uint64_t> keys_;
   /// Emptied batch buffers (capacity window) that flush_window() swaps in
   /// for window_; a batch comes back once the DMC unit has coalesced it.
   std::vector<std::vector<CoalescerRequest>> spare_batches_;

@@ -43,8 +43,9 @@ class PipelinedSorter {
   PipelinedSorter(std::uint32_t window, PipelineShape shape, Cycle tau);
 
   /// Sort @p keys (size == window; the first @p valid_count slots hold real
-  /// keys, the tail holds kInvalidKey padding) entering the pipe at
-  /// @p submit. Returns the cycle the sorted window leaves the pipeline.
+  /// keys, the tail holds padding greater than every real key, such as
+  /// kInvalidKey) entering the pipe at @p submit. Returns the cycle the
+  /// sorted window leaves the pipeline.
   Cycle process(std::span<std::uint64_t> keys, std::uint32_t valid_count,
                 Cycle submit);
 

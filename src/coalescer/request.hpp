@@ -43,7 +43,6 @@ inline constexpr std::uint64_t kInvalidKey = ~0ULL >> (63 - kValidBit);
 
 /// A miss / write-back request arriving at the coalescer from the LLC.
 struct CoalescerRequest {
-  ReqId id = 0;
   /// Byte address of the access. MemoryCoalescer::submit() line-aligns it;
   /// coalesce_payload() works on the raw byte address.
   Addr addr = 0;

@@ -1,4 +1,4 @@
-// Small-buffer-optimized, move-only callable for the event kernel's hot path.
+// Small-buffer-optimized callable for the event kernel's hot path.
 //
 // std::function heap-allocates any capture larger than its tiny internal
 // buffer (16 bytes on libstdc++), which puts a malloc/free pair on the
@@ -6,14 +6,19 @@
 // response packet plus a nested callback; coalescer events capture whole
 // request batches by pointer). InlineCallback stores captures up to
 // kInlineBytes directly inside the object, so scheduling an event never
-// allocates; oversized captures fall back to a single heap cell and keep
-// working.  Dispatch goes through one per-type operations table (a single
-// static struct per callable type) instead of three separate function
-// pointers, keeping the object at 56 bytes.
+// allocates; oversized or over-aligned captures fall back to a single heap
+// cell and keep working.  Dispatch goes through one per-type operations
+// table (a single static struct per callable type) instead of separate
+// function pointers, keeping the object at 56 bytes, so that the event
+// kernel's node (this plus one list link) is exactly one 64-byte cache line.
+//
+// The object never moves: the kernel constructs a callable in place with
+// emplace(), runs it where it lies and destroys it with reset(), so there is
+// no relocate step on the fire path.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -27,13 +32,17 @@ class InlineCallback {
   /// a small struct (e.g. an HMC response header) or a moved-in vector.
   static constexpr std::size_t kInlineBytes = 48;
 
-  constexpr InlineCallback() noexcept : ops_(nullptr) {}
+  constexpr InlineCallback() noexcept = default;
+  InlineCallback(const InlineCallback&) = delete;
+  InlineCallback& operator=(const InlineCallback&) = delete;
+  ~InlineCallback() { reset(); }
 
-  template <typename F,
-            typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineCallback> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  InlineCallback(F&& fn) {  // NOLINT(google-explicit-constructor)
+  /// Construct @p fn in place; the object must be empty.
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& fn) {
+    static_assert(std::is_invocable_r_v<void, D&>,
+                  "callback must be callable with no arguments");
+    assert(ops_ == nullptr && "emplace into a live callback");
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
       ops_ = &inline_ops<D>;
@@ -43,31 +52,15 @@ class InlineCallback {
     }
   }
 
-  InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  InlineCallback& operator=(InlineCallback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  InlineCallback(const InlineCallback&) = delete;
-  InlineCallback& operator=(const InlineCallback&) = delete;
-
-  ~InlineCallback() { reset(); }
-
   void operator()() { ops_->invoke(storage_); }
+
+  /// Destroy the stored callable, if any; the object is empty afterwards.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(storage_);
+      ops_ = nullptr;
+    }
+  }
 
   [[nodiscard]] explicit operator bool() const noexcept {
     return ops_ != nullptr;
@@ -77,48 +70,31 @@ class InlineCallback {
   template <typename F>
   [[nodiscard]] static constexpr bool fits_inline() noexcept {
     using D = std::decay_t<F>;
-    return sizeof(D) <= kInlineBytes &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(void*);
   }
 
  private:
   struct Ops {
     void (*invoke)(void*);
-    /// Move-construct into @p dst from @p src and destroy the source.
-    void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
   };
 
   template <typename D>
   static constexpr Ops inline_ops = {
       [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); },
-      [](void* dst, void* src) noexcept {
-        D* s = std::launder(reinterpret_cast<D*>(src));
-        ::new (dst) D(std::move(*s));
-        s->~D();
-      },
       [](void* p) noexcept { std::launder(reinterpret_cast<D*>(p))->~D(); },
   };
 
   template <typename D>
   static constexpr Ops heap_ops = {
       [](void* p) { (**std::launder(reinterpret_cast<D**>(p)))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
-      },
       [](void* p) noexcept { delete *std::launder(reinterpret_cast<D**>(p)); },
   };
 
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  const Ops* ops_;
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+  alignas(void*) unsigned char storage_[kInlineBytes];
 };
+
+static_assert(sizeof(InlineCallback) == 56);
 
 }  // namespace hmcc

@@ -2,34 +2,37 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace hmcc {
 
-void Kernel::schedule_at(Cycle when, Callback fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  ++next_seq_;
-  if (when - now_ < ring_span_) {
-    if (when > now_ && when < scan_hint_) scan_hint_ = when;
-    bucket(when).push_back(std::move(fn));
-    ++ring_count_;
-  } else {
-    overflow_.push_back(OverflowEvent{when, next_seq_, std::move(fn)});
-    std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+Kernel::Node* Kernel::grow() {
+  assert(free_ == nullptr);
+  chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+  Node* chunk = chunks_.back().get();
+  // Thread the chunk so the free list hands out its nodes in address order.
+  for (std::size_t i = kChunkNodes; i-- > 0;) {
+    chunk[i].next = free_;
+    free_ = &chunk[i];
   }
+  return free_;
+}
+
+void Kernel::push_overflow(Node* node, Cycle when) {
+  overflow_.push_back(OverflowEvent{when, next_seq_, node});
+  std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
 }
 
 Kernel::Next Kernel::find_next() {
   Next ring_next;
   if (ring_count_ > 0) {
-    if (pos_ < bucket(now_).size()) {
+    if (tail_of(now_) != nullptr) {
       ring_next = Next{Source::kRing, now_};
     } else {
       Cycle c = std::max(scan_hint_, now_ + 1);
       const Cycle end = now_ + ring_span_;
-      while (c < end && bucket(c).empty()) ++c;
+      while (c < end && tail_of(c) == nullptr) ++c;
       scan_hint_ = c;
-      assert(c < end && "ring_count_ > 0 but no bucket holds events");
+      assert(c < end && "ring_count_ > 0 but no list holds events");
       ring_next = Next{Source::kRing, c};
     }
   }
@@ -47,10 +50,7 @@ Kernel::Next Kernel::find_next() {
 
 void Kernel::advance_to(Cycle to) {
   assert(to > now_);
-  std::vector<Callback>& cur = bucket(now_);
-  assert(pos_ == cur.size() && "advancing past unfired events");
-  cur.clear();  // keeps capacity: future cycles mapping here reuse it
-  pos_ = 0;
+  assert(tail_of(now_) == nullptr && "advancing past unfired events");
   now_ = to;
   scan_hint_ = std::max(scan_hint_, to + 1);
 }
@@ -58,21 +58,29 @@ void Kernel::advance_to(Cycle to) {
 void Kernel::fire(const Next& n) {
   assert(n.src != Source::kNone);
   if (n.when != now_) advance_to(n.when);
-  // Move the callback out before invoking: the callback may schedule more
-  // events into the very container it is stored in (same-cycle appends can
-  // reallocate the bucket; overflow pushes re-heapify).
-  Callback fn;
+  Node* node = nullptr;
   if (n.src == Source::kOverflow) {
     std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    fn = std::move(overflow_.back().fn);
+    node = overflow_.back().node;
     overflow_.pop_back();
   } else {
-    fn = std::move(bucket(now_)[pos_]);
-    ++pos_;
+    Node*& tail = tail_of(now_);
+    node = tail->next;  // the head: oldest event of this cycle
+    if (node == tail) {
+      tail = nullptr;
+    } else {
+      tail->next = node->next;
+    }
     --ring_count_;
   }
+  // The node is unlinked before the call, so a same-cycle schedule() from
+  // inside the callback appends behind the events already queued, and it
+  // is freed only after the call returns, so nothing reuses it meanwhile.
   ++fired_;
-  fn();
+  node->fn();
+  node->fn.reset();
+  node->next = free_;
+  free_ = node;
 }
 
 bool Kernel::step() {

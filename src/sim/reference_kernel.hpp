@@ -5,7 +5,7 @@
 //   * the randomized differential test in tests/sim drives it and the
 //     production Kernel with identical event streams and requires identical
 //     firing orders, and
-//   * bench_kernel_throughput uses it as the baseline the bucketed kernel's
+//   * bench_kernel_throughput uses it as the baseline the production kernel's
 //     speedup is measured against.
 // It owns its heap storage directly (std::push_heap/pop_heap over a vector)
 // so popping moves the event out of the container normally — no

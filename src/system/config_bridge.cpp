@@ -1,5 +1,6 @@
 #include "system/config_bridge.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/bits.hpp"
@@ -428,6 +429,40 @@ std::vector<desc::Constraint<SystemConfig>> build_platform_constraints() {
                              : "must not exceed the CRQ capacity "
                                "(llc_mshrs = " +
                                    std::to_string(c.coalescer.num_mshrs) + ")";
+                }});
+  // Every packet must be one a cube command carries (16..256 B) and must
+  // stay inside one block, or HmcBackend::submit / HmcDevice::submit would
+  // abort. A miss always travels as at least one line; only the DMC unit
+  // forms packets up to max_packet, so max_packet binds only when it runs.
+  t.push_back(C{"line_bytes", [](const SystemConfig& c) {
+                  const std::uint32_t line = c.coalescer.line_bytes;
+                  return line >= hmcspec::kMinRequestBytes &&
+                                 line <= hmcspec::kMaxRequestBytes
+                             ? std::string()
+                             : "must be within [16, 256]: no cube command "
+                               "carries a line of " +
+                                   std::to_string(line) + " B";
+                }});
+  t.push_back(C{"max_packet", [](const SystemConfig& c) {
+                  return !c.coalescer.enable_dmc ||
+                                 c.coalescer.max_packet_bytes <=
+                                     hmcspec::kMaxRequestBytes
+                             ? std::string()
+                             : "must not exceed 256 while the DMC unit "
+                               "forms packets: no cube command carries a "
+                               "larger one";
+                }});
+  t.push_back(C{"block_bytes", [](const SystemConfig& c) {
+                  const std::uint32_t packet =
+                      c.coalescer.enable_dmc
+                          ? std::max(c.coalescer.line_bytes,
+                                     c.coalescer.max_packet_bytes)
+                          : c.coalescer.line_bytes;
+                  return packet <= c.hmc.block_bytes
+                             ? std::string()
+                             : "must be at least the largest packet (" +
+                                   std::to_string(packet) +
+                                   " B): a packet may not cross a block";
                 }});
   t.push_back(C{"page_bytes", [](const SystemConfig& c) {
                   return is_pow2(c.mem.page_bytes) && c.mem.page_bytes >= 64

@@ -300,6 +300,52 @@ TEST(DescriptorArgs, EveryProblemIsOneKeyedError) {
             "error: bogus: unknown key\n");
 }
 
+// The stderr of a command line that sets only platform keys.
+std::string platform_errors(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "prog");
+  desc::Args args(static_cast<int>(argv.size()), argv.data());
+  (void)system::platform_from(args);
+  testing::internal::CaptureStderr();
+  (void)args.finish();
+  return testing::internal::GetCapturedStderr();
+}
+
+TEST(DescriptorArgs, PacketsNoCubeCommandCarriesAreKeyedErrors) {
+  const std::string too_wide =
+      "error: max_packet: must not exceed 256 while the DMC unit forms "
+      "packets: no cube command carries a larger one\n";
+  auto crosses = [](const char* bytes) {
+    return std::string("error: block_bytes: must be at least the largest "
+                       "packet (") +
+           bytes + " B): a packet may not cross a block\n";
+  };
+  EXPECT_EQ(platform_errors({"line_bytes=8"}),
+            "error: line_bytes: must be within [16, 256]: no cube command "
+            "carries a line of 8 B\n");
+  EXPECT_EQ(platform_errors({"line_bytes=512"}),
+            "error: line_bytes: must be within [16, 256]: no cube command "
+            "carries a line of 512 B\n" +
+                crosses("512"));
+  EXPECT_EQ(platform_errors({"max_packet=512"}), too_wide + crosses("512"));
+  for (const char* block : {"block_bytes=32", "block_bytes=64",
+                            "block_bytes=128"}) {
+    EXPECT_EQ(platform_errors({block}), crosses("256")) << block;
+  }
+  // Without the DMC unit every packet is one line, so max_packet is unused.
+  EXPECT_EQ(platform_errors({"mode=conventional", "block_bytes=32"}),
+            crosses("64"));
+  for (std::vector<const char*> ok :
+       {std::vector<const char*>{"max_packet=32"},
+        {"block_bytes=64", "max_packet=64"},
+        {"line_bytes=128", "max_packet=64"},
+        {"line_bytes=16"},
+        {"line_bytes=256"},
+        {"mode=conventional", "max_packet=512"},
+        {"mode=conventional", "block_bytes=64"}}) {
+    EXPECT_EQ(platform_errors(ok), "") << ok[0];
+  }
+}
+
 TEST(DescriptorArgs, DeclaredKeysPassSilently) {
   const char* argv[] = {"prog", "llc_mshrs=8", "window=8", "warps=4",
                         "threads=2", "nocsv=on", "csvdir=out"};

@@ -136,7 +136,7 @@ TEST(Kernel, OverflowAndRingEventsAtTheSameCycleKeepScheduleOrder) {
   const Cycle target = Kernel::kRingSize + 100;
   k.schedule_at(target, [&] { order.push_back(1); });  // overflow path
   k.schedule_at(target - 50, [&, target] {
-    // Now target is in-window: this lands in the ring bucket.
+    // Now target is in-window: this lands in the ring list.
     k.schedule_at(target, [&] { order.push_back(2); });
   });
   k.run();
@@ -144,7 +144,7 @@ TEST(Kernel, OverflowAndRingEventsAtTheSameCycleKeepScheduleOrder) {
 }
 
 TEST(Kernel, BucketWrapReusesRingSlots) {
-  // March time across several full ring laps; every bucket slot is reused
+  // March time across several full ring laps; every ring slot is reused
   // for multiple distinct cycles congruent mod kRingSize.
   Kernel k;
   std::uint64_t fired = 0;
@@ -185,7 +185,91 @@ TEST(Kernel, SameCycleFifoAcrossManyEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Ring sizing: the bucket ring is a constructor parameter now (the System
+// Node storage: a callback runs in its node, nodes never move, and the
+// kernel owns every pending capture.
+
+TEST(Kernel, CallbackKeepsRunningInPlaceWhileItsSchedulesAddChunks) {
+  // One callback schedules enough events to add several node chunks, then
+  // reads its own captures: they must still be intact where it runs.
+  Kernel k;
+  std::vector<int> order;
+  std::array<std::uint64_t, 4> sentinel{11, 22, 33, 44};
+  std::uint64_t seen = 0;
+  k.schedule_at(3, [&k, &order, &seen, sentinel] {
+    for (int i = 0; i < 2000; ++i) {
+      k.schedule(static_cast<Cycle>(i % 7),
+                 [&order, i] { order.push_back(i); });
+    }
+    for (std::uint64_t v : sentinel) seen += v;
+  });
+  k.run();
+  EXPECT_EQ(seen, 110u);
+  ASSERT_EQ(order.size(), 2000u);
+  // Cycle-major, then scheduling order within each cycle.
+  std::vector<int> want;
+  for (int d = 0; d < 7; ++d) {
+    for (int i = d; i < 2000; i += 7) want.push_back(i);
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(k.events_fired(), 2001u);
+}
+
+TEST(Kernel, SameCycleScheduleFromACallbackQueuesBehindThatCycle) {
+  // Events already queued for a cycle fire before any schedule(0, ...) made
+  // while that cycle runs, including one made by the cycle's last event and
+  // one made by a zero-delay event itself.
+  Kernel k;
+  std::vector<char> order;
+  k.schedule_at(9, [&] {
+    order.push_back('a');
+    k.schedule(0, [&] {
+      order.push_back('d');
+      k.schedule(0, [&] { order.push_back('f'); });
+    });
+  });
+  k.schedule_at(9, [&] { order.push_back('b'); });
+  k.schedule_at(9, [&] {
+    order.push_back('c');
+    k.schedule(0, [&] { order.push_back('e'); });
+  });
+  k.schedule_at(10, [&] { order.push_back('g'); });
+  k.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd', 'e', 'f', 'g'}));
+}
+
+// Counts live copies of itself through a shared counter.
+struct Counted {
+  int* live;
+  explicit Counted(int* l) : live(l) { ++*live; }
+  Counted(const Counted& o) : live(o.live) { ++*live; }
+  Counted(Counted&& o) noexcept : live(o.live) { ++*live; }
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { --*live; }
+};
+
+TEST(Kernel, DestroyingAKernelReleasesPendingCaptures) {
+  int live = 0;
+  {
+    Kernel k(64);
+    const Counted c(&live);
+    std::array<std::uint64_t, 16> blob{};  // too big to store inline
+    for (int i = 0; i < 300; ++i) {
+      k.schedule(static_cast<Cycle>(i % 40), [c] {});
+    }
+    k.schedule(1000, [c] {});  // overflow heap
+    k.schedule(5, [c, blob] { (void)blob; });
+    EXPECT_EQ(live, 1 + 302);
+    EXPECT_TRUE(k.run_until(20));
+    // Cycles 0..19 hold 8 ring events each, cycle 20 holds 7, plus the
+    // heap-stored one at cycle 5.
+    EXPECT_EQ(k.events_fired(), 20u * 8 + 7 + 1);
+    EXPECT_EQ(live, 1 + 302 - static_cast<int>(k.events_fired()));
+  }
+  EXPECT_EQ(live, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Ring sizing: the ring is a constructor parameter now (the System
 // sizes it from the platform's worst-case event delay); any power-of-two
 // ring must produce the same schedule, only the fast-path coverage changes.
 
@@ -197,7 +281,7 @@ TEST(Kernel, CustomRingSizeIsObservable) {
 
 TEST(Kernel, RingSizeForCoversTheDelayAndClamps) {
   // Smallest power of two STRICTLY greater than the worst routine delay
-  // (a delay equal to the ring span would wrap onto the current bucket),
+  // (a delay equal to the ring span would wrap onto the current list),
   // clamped to [kMinRingSize, kMaxRingSize].
   EXPECT_EQ(Kernel::ring_size_for(0), Kernel::kMinRingSize);
   EXPECT_EQ(Kernel::ring_size_for(255), 256u);
@@ -214,7 +298,7 @@ TEST(Kernel, RingSizeForCoversTheDelayAndClamps) {
 }
 
 TEST(Kernel, TinyRingMatchesDefaultRingSchedule) {
-  // Same event tree on a 64-bucket ring (lots of overflow traffic) and the
+  // Same event tree on a 64-slot ring (lots of overflow traffic) and the
   // default ring: identical firing order is required.
   auto run_with = [](std::size_t ring_size) {
     Kernel k(ring_size);
@@ -239,9 +323,9 @@ TEST(Kernel, TinyRingMatchesDefaultRingSchedule) {
 // Randomized differential test: the production Kernel must fire the exact
 // same (event id, cycle) sequence as the reference heap scheduler for
 // arbitrary self-expanding event trees mixing ring and overflow delays. A
-// 64-bucket ring sends most of the 0..300-cycle delays through the overflow
+// 64-slot ring sends most of the 0..300-cycle delays through the overflow
 // heap, so overflow and ring events keep meeting at the same cycle — where
-// the bucket's append order must defer to the heap's earlier-scheduled
+// the list's append order must defer to the heap's earlier-scheduled
 // events.
 
 template <typename K>
